@@ -3,34 +3,17 @@
 //! machine-readable `BENCH_check.json` so the perf trajectory of the
 //! checker is observable (and gated) across PRs.
 //!
-//! Nine scenario kinds:
+//! Six scenario kinds:
 //!
 //! - **dedup** — the fig6/fig7 testbeds at several WAN scales, with
 //!   dedup on *and* off at equal thread count, asserting identical
 //!   verdicts. The `--fecs-per-pair` sweep (64/128/1024) tracks the
-//!   paper's 10⁶-FEC headline; at 1024 the serial fingerprint pass
-//!   would dominate, which is what the sharded grouping pass addresses.
+//!   paper's 10⁶-FEC headline; at 1024 a serial fingerprint pass would
+//!   dominate, which is why the engine fingerprints on its worker pool.
 //! - **iterative** — the §8.1 operational loop: K near-identical
 //!   iterations of one change replayed against a persistent verdict
 //!   cache ([`rela_cache::VerdictStore`]), measuring cold→warm speedup
 //!   with cache-free runs cross-checking every replayed verdict.
-//! - **ablation** — minimize-before-equiv: Hopcroft-minimizing each
-//!   determinized equation side before the equivalence check, plain vs.
-//!   minimized at interface granularity over trunked cores (`speedup` =
-//!   plain ÷ minimized wall; > 1 means minimization pays).
-//! - **ingest** — the cold path from snapshot files on disk to a
-//!   verdict, streamed (`SnapshotReader` → `align_streaming` →
-//!   `check_stream`) vs. materialized (`from_json` → `align` → `check`)
-//!   at 12k and 100k+ FECs. Each path runs in a fresh child process so
-//!   peak RSS (`VmHWM`) isolates its true footprint; report identity is
-//!   asserted via a verdict fingerprint, and the scenario's `speedup`
-//!   records the peak-RSS reduction (materialized ÷ streamed).
-//! - **pipelined-ingest** — the pipelined cold path
-//!   (`check_pipelined`: framers → bounded channel → decode pool →
-//!   decide-while-loading) vs. the serial streamed baseline, same
-//!   child-process methodology; `speedup` is the wall ratio
-//!   (serial ÷ pipelined) and `rss_ratio` the memory cost of the
-//!   in-flight spans (pipelined ÷ serial).
 //! - **delta-ingest** — the §8.1 loop delta-first: a resident session
 //!   (`retain_bases`) re-checks one iteration submitted as delta
 //!   documents (`rela-sim`'s native emitter) vs. the same pair
@@ -103,8 +86,8 @@ use rela_core::{
     CompiledProgram, JobOptions, JobSpec, LabeledSource, SessionConfig,
 };
 use rela_net::{
-    content_hash128, BinarySnapshotWriter, Granularity, MmapSource, Snapshot, SnapshotFramer,
-    SnapshotPair, SnapshotReader, SnapshotWriter,
+    content_hash128, BinarySnapshotWriter, Granularity, MmapSource, SnapshotFramer, SnapshotPair,
+    SnapshotWriter,
 };
 use rela_sim::adversarial::{self, ScenarioFamily};
 use rela_sim::workload::{
@@ -497,7 +480,7 @@ fn run_iterative(threads: usize, smoke: bool) -> Value {
     Value::Obj(fields)
 }
 
-// ---- cold-ingest: streamed vs. materialized snapshot loading ----------
+// ---- child-process ingest: buffered vs. mapped snapshot framing ------
 
 /// Peak resident set of this process (`VmHWM`), in KiB. Linux-only;
 /// `None` elsewhere (the scenario then records null RSS fields).
@@ -549,26 +532,6 @@ fn ingest_worker(args: &[String]) -> ! {
 
     let t0 = Instant::now();
     let report = match mode {
-        "materialized" => {
-            let load = |path: &str| -> Snapshot {
-                let text = std::fs::read_to_string(path).expect("snapshot file");
-                Snapshot::from_json(&text).expect("snapshot parses")
-            };
-            let pair = SnapshotPair::align(&load(pre_path), &load(post_path));
-            checker.check(&pair)
-        }
-        "stream" => {
-            let open = |path: &str| {
-                SnapshotReader::new(std::fs::File::open(path).expect("snapshot file"))
-                    .with_label(path)
-            };
-            checker
-                .check_stream(SnapshotPair::align_streaming(
-                    open(pre_path),
-                    open(post_path),
-                ))
-                .expect("snapshot streams")
-        }
         "pipelined" => {
             let frame = |path: &str| {
                 SnapshotFramer::new(std::fs::File::open(path).expect("snapshot file"), path)
@@ -661,294 +624,6 @@ fn ingest_child(mode: &str, pre: &Path, post: &Path, params: &WanParams, threads
 
 /// The cold-ingest spec size (3·1 + 1 atomics, same family as fig6).
 const INGEST_SPEC_ATOMICS: usize = 4;
-
-/// The **ingest** scenario kind: how fast — and in how much memory — a
-/// cold validation gets from snapshot files on disk to a verdict, with
-/// the streamed path (`SnapshotReader` → `align_streaming` →
-/// `check_stream`) measured against the materialized one
-/// (`from_json` → `align` → `check`). Each path runs in a fresh child
-/// process so `VmHWM` isolates its true peak; both must produce a
-/// byte-identical report (asserted via a verdict fingerprint). The
-/// scenario's `speedup` field records the peak-RSS reduction
-/// (materialized ÷ streamed).
-fn run_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
-    eprintln!(
-        "[{name}] generating snapshot files ({} regions, {} FECs/pair)...",
-        params.regions, params.fecs_per_pair,
-    );
-    let wan = synthetic_wan(params);
-    let dir = std::env::temp_dir().join(format!("rela-perf-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let pre_path = dir.join("pre.json");
-    let post_path = dir.join("post.json");
-    let t0 = Instant::now();
-    let pre_bytes = write_snapshot_file(&pre_path, &wan.topology, &wan.config, &wan.traffic);
-    let post_cfg = configured(&wan.config, &wan.topology, &wan.representative_change);
-    let post_bytes = write_snapshot_file(&post_path, &wan.topology, &post_cfg, &wan.traffic);
-    let gen = t0.elapsed();
-    eprintln!(
-        "[{name}] wrote {:.1} MiB in {} (streamed, record-by-record)",
-        (pre_bytes + post_bytes) as f64 / (1024.0 * 1024.0),
-        secs(gen),
-    );
-
-    let streamed = ingest_child("stream", &pre_path, &post_path, params, threads);
-    let materialized = ingest_child("materialized", &pre_path, &post_path, params, threads);
-    std::fs::remove_dir_all(&dir).ok();
-
-    let f = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
-    let verdicts_match = streamed.get("report_hash") == materialized.get("report_hash")
-        && streamed.get("report_hash").is_some();
-    assert!(
-        verdicts_match,
-        "[{name}] streamed and materialized reports diverged — the streaming path is unsound"
-    );
-    let rss_stream = f(&streamed, "peak_rss_kb");
-    let rss_mat = f(&materialized, "peak_rss_kb");
-    let reduction = match (rss_mat, rss_stream) {
-        (Some(m), Some(s)) if s > 0.0 => Some(m / s),
-        _ => None,
-    };
-    eprintln!(
-        "[{name}] {} FECs | stream {} / {} KiB vs materialized {} / {} KiB | peak-RSS reduction {}",
-        streamed.get("fecs").and_then(Value::as_u64).unwrap_or(0),
-        secs(Duration::from_secs_f64(
-            f(&streamed, "wall_s").unwrap_or(0.0)
-        )),
-        rss_stream.map_or_else(|| "?".into(), |v| format!("{v:.0}")),
-        secs(Duration::from_secs_f64(
-            f(&materialized, "wall_s").unwrap_or(0.0)
-        )),
-        rss_mat.map_or_else(|| "?".into(), |v| format!("{v:.0}")),
-        reduction.map_or_else(|| "?".into(), |v| format!("{v:.2}×")),
-    );
-
-    let copy = |v: &Value, key: &str| v.get(key).cloned().unwrap_or(Value::Null);
-    let mut fields = vec![
-        ("name".to_owned(), name.to_value()),
-        ("kind".to_owned(), "ingest".to_value()),
-        ("regions".to_owned(), params.regions.to_value()),
-        (
-            "routers_per_group".to_owned(),
-            params.routers_per_group.to_value(),
-        ),
-        (
-            "parallel_links".to_owned(),
-            params.parallel_links.to_value(),
-        ),
-        (
-            "fecs_per_pair".to_owned(),
-            (params.fecs_per_pair as usize).to_value(),
-        ),
-        ("spec_atomics".to_owned(), INGEST_SPEC_ATOMICS.to_value()),
-        ("granularity".to_owned(), "group".to_value()),
-        (
-            "snapshot_bytes".to_owned(),
-            (pre_bytes + post_bytes).to_value(),
-        ),
-        ("gen_s".to_owned(), gen.as_secs_f64().to_value()),
-    ];
-    for key in [
-        "fecs",
-        "classes",
-        "cache_hits",
-        "cache_hit_rate",
-        "violations",
-    ] {
-        fields.push((key.to_owned(), copy(&streamed, key)));
-    }
-    fields.push(("wall_s".to_owned(), copy(&streamed, "wall_s")));
-    fields.push((
-        "wall_materialized_s".to_owned(),
-        copy(&materialized, "wall_s"),
-    ));
-    fields.push((
-        "peak_rss_streamed_kb".to_owned(),
-        copy(&streamed, "peak_rss_kb"),
-    ));
-    fields.push((
-        "peak_rss_materialized_kb".to_owned(),
-        copy(&materialized, "peak_rss_kb"),
-    ));
-    // kind-agnostic consumers (the gate) read the RSS reduction as the
-    // scenario's "speedup": the quantity streaming exists to improve
-    fields.push((
-        "speedup".to_owned(),
-        match reduction {
-            Some(r) => r.to_value(),
-            None => Value::Null,
-        },
-    ));
-    // same orientation as the other ingest kinds: measured path ÷
-    // baseline (streamed ÷ materialized — the reciprocal of `speedup`)
-    fields.push((
-        "rss_ratio".to_owned(),
-        match (rss_stream, rss_mat) {
-            (Some(s), Some(m)) if m > 0.0 => (s / m).to_value(),
-            _ => Value::Null,
-        },
-    ));
-    fields.push(("wall_nodedup_s".to_owned(), Value::Null));
-    fields.push(("verdicts_match".to_owned(), Value::Bool(verdicts_match)));
-    Value::Obj(fields)
-}
-
-/// The **pipelined-ingest** scenario kind: the pipelined cold path
-/// (framer threads → bounded channel → decode/fingerprint pool →
-/// decide-while-loading) measured against the serial streamed path (the
-/// PR 4 baseline: one reader thread decodes, hashes, and groups, and
-/// deciding starts after the stream ends). Each path runs in a fresh
-/// child process for an isolated `VmHWM`; both must produce a
-/// byte-identical report (asserted via the verdict fingerprint). The
-/// scenario's `speedup` is the wall-time ratio (serial ÷ pipelined) —
-/// the quantity pipelining exists to improve — and `rss_ratio` records
-/// the memory cost of the in-flight spans (pipelined ÷ serial).
-fn run_pipelined_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
-    eprintln!(
-        "[{name}] generating snapshot files ({} regions, {} FECs/pair)...",
-        params.regions, params.fecs_per_pair,
-    );
-    let wan = synthetic_wan(params);
-    let dir = std::env::temp_dir().join(format!("rela-perf-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let pre_path = dir.join("pre.json");
-    let post_path = dir.join("post.json");
-    let t0 = Instant::now();
-    let pre_bytes = write_snapshot_file(&pre_path, &wan.topology, &wan.config, &wan.traffic);
-    let post_cfg = configured(&wan.config, &wan.topology, &wan.representative_change);
-    let post_bytes = write_snapshot_file(&post_path, &wan.topology, &post_cfg, &wan.traffic);
-    let gen = t0.elapsed();
-
-    let serial = ingest_child("stream", &pre_path, &post_path, params, threads);
-    let pipelined = ingest_child("pipelined", &pre_path, &post_path, params, threads);
-    std::fs::remove_dir_all(&dir).ok();
-
-    let f = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
-    let verdicts_match = pipelined.get("report_hash") == serial.get("report_hash")
-        && pipelined.get("report_hash").is_some();
-    assert!(
-        verdicts_match,
-        "[{name}] pipelined and serial streamed reports diverged — the pipeline is unsound"
-    );
-    let wall_serial = f(&serial, "wall_s").unwrap_or(0.0);
-    let wall_piped = f(&pipelined, "wall_s").unwrap_or(0.0);
-    let speedup = if wall_piped > 0.0 {
-        Some(wall_serial / wall_piped)
-    } else {
-        None
-    };
-    let rss_ratio = match (f(&pipelined, "peak_rss_kb"), f(&serial, "peak_rss_kb")) {
-        (Some(p), Some(s)) if s > 0.0 => Some(p / s),
-        _ => None,
-    };
-    eprintln!(
-        "[{name}] {} FECs | pipelined {} vs serial-stream {} ({}) | RSS ratio {}",
-        pipelined.get("fecs").and_then(Value::as_u64).unwrap_or(0),
-        secs(Duration::from_secs_f64(wall_piped)),
-        secs(Duration::from_secs_f64(wall_serial)),
-        speedup.map_or_else(|| "?".into(), |v| format!("{v:.2}×")),
-        rss_ratio.map_or_else(|| "?".into(), |v| format!("{v:.2}×")),
-    );
-
-    let copy = |v: &Value, key: &str| v.get(key).cloned().unwrap_or(Value::Null);
-    let mut fields = vec![
-        ("name".to_owned(), name.to_value()),
-        ("kind".to_owned(), "pipelined-ingest".to_value()),
-        ("regions".to_owned(), params.regions.to_value()),
-        (
-            "routers_per_group".to_owned(),
-            params.routers_per_group.to_value(),
-        ),
-        (
-            "parallel_links".to_owned(),
-            params.parallel_links.to_value(),
-        ),
-        (
-            "fecs_per_pair".to_owned(),
-            (params.fecs_per_pair as usize).to_value(),
-        ),
-        ("spec_atomics".to_owned(), INGEST_SPEC_ATOMICS.to_value()),
-        ("granularity".to_owned(), "group".to_value()),
-        (
-            "snapshot_bytes".to_owned(),
-            (pre_bytes + post_bytes).to_value(),
-        ),
-        ("gen_s".to_owned(), gen.as_secs_f64().to_value()),
-    ];
-    for key in [
-        "fecs",
-        "classes",
-        "cache_hits",
-        "cache_hit_rate",
-        "violations",
-    ] {
-        fields.push((key.to_owned(), copy(&pipelined, key)));
-    }
-    fields.push(("wall_s".to_owned(), copy(&pipelined, "wall_s")));
-    fields.push(("wall_serial_stream_s".to_owned(), copy(&serial, "wall_s")));
-    fields.push((
-        "peak_rss_pipelined_kb".to_owned(),
-        copy(&pipelined, "peak_rss_kb"),
-    ));
-    fields.push((
-        "peak_rss_serial_kb".to_owned(),
-        copy(&serial, "peak_rss_kb"),
-    ));
-    fields.push((
-        "rss_ratio".to_owned(),
-        match rss_ratio {
-            Some(r) => r.to_value(),
-            None => Value::Null,
-        },
-    ));
-    fields.push((
-        "speedup".to_owned(),
-        match speedup {
-            Some(r) => r.to_value(),
-            None => Value::Null,
-        },
-    ));
-    fields.push(("wall_nodedup_s".to_owned(), Value::Null));
-    fields.push(("verdicts_match".to_owned(), Value::Bool(verdicts_match)));
-    Value::Obj(fields)
-}
-
-/// The pipelined-ingest scales: the dedup-sweep scale point and the
-/// 100k+ headline scale (the acceptance scale for decide-while-loading),
-/// or a tiny scale in smoke mode.
-fn pipelined_scales(smoke: bool) -> Vec<(&'static str, WanParams)> {
-    if smoke {
-        return vec![(
-            "pipelined-ingest-smoke",
-            WanParams {
-                regions: 3,
-                routers_per_group: 1,
-                parallel_links: 1,
-                fecs_per_pair: 32,
-            },
-        )];
-    }
-    vec![
-        (
-            "pipelined-ingest-12k",
-            WanParams {
-                regions: 4,
-                routers_per_group: 2,
-                parallel_links: 2,
-                fecs_per_pair: 1024,
-            },
-        ),
-        (
-            "pipelined-ingest-102k",
-            WanParams {
-                regions: 5,
-                routers_per_group: 2,
-                parallel_links: 2,
-                fecs_per_pair: 5120,
-            },
-        ),
-    ]
-}
 
 /// The **delta-ingest** scenario kind: the §8.1 loop delta-first. A
 /// resident session ([`SessionConfig::retain_bases`] plus an in-memory
@@ -1436,108 +1111,6 @@ fn mmap_scales(smoke: bool) -> Vec<(&'static str, WanParams)> {
     )]
 }
 
-/// The **ablation** scenario kind: does Hopcroft-minimizing each
-/// determinized equation side before the equivalence check pay for
-/// itself on the interface-granularity path explosion (ROADMAP:
-/// minimize-before-equiv)? Heavily-trunked cores at interface
-/// granularity are the regime where the sides are largest; `speedup` is
-/// wall-plain ÷ wall-minimized (>1 ⇒ minimization pays). Verdicts are
-/// compared at the verdict level — minimization may legitimately
-/// reorder witness enumeration, never what holds.
-fn run_ablation(threads: usize, smoke: bool) -> Value {
-    let (name, params, spec_atomics) = if smoke {
-        (
-            "ablation-smoke",
-            WanParams {
-                regions: 3,
-                routers_per_group: 1,
-                parallel_links: 2,
-                fecs_per_pair: 2,
-            },
-            1,
-        )
-    } else {
-        (
-            "ablation-minimize",
-            WanParams {
-                regions: 4,
-                routers_per_group: 2,
-                parallel_links: 6,
-                fecs_per_pair: 4,
-            },
-            1,
-        )
-    };
-    let granularity = Granularity::Interface;
-    eprintln!(
-        "[{name}] building testbed ({} regions, {} links, interface granularity)...",
-        params.regions, params.parallel_links,
-    );
-    let tb = build_testbed(&params);
-    let source = spec_of_size(spec_atomics, params.regions);
-    let program = parse_program(&source).expect("spec parses");
-    let compiled =
-        compile_program(&program, &tb.wan.topology.db, granularity).expect("spec compiles");
-
-    let run = |minimize_sides: bool| {
-        let start = Instant::now();
-        let report = Checker::new(&compiled, &tb.wan.topology.db)
-            .with_options(CheckOptions {
-                threads,
-                minimize_sides,
-                ..CheckOptions::default()
-            })
-            .check(&tb.pair);
-        (start.elapsed(), report)
-    };
-    let (wall_plain, plain) = run(false);
-    let (wall_min, minimized) = run(true);
-    // verdict-level agreement (witness order may differ by design)
-    let verdicts_match = plain.total == minimized.total
-        && plain.compliant == minimized.compliant
-        && plain.part_counts == minimized.part_counts
-        && plain
-            .violations
-            .iter()
-            .map(|v| &v.flow)
-            .eq(minimized.violations.iter().map(|v| &v.flow));
-    assert!(
-        verdicts_match,
-        "[{name}] side minimization changed a verdict — minimize() is unsound"
-    );
-    let speedup = wall_plain.as_secs_f64() / wall_min.as_secs_f64().max(f64::EPSILON);
-    eprintln!(
-        "[{name}] {} classes | plain {} vs minimized {} ({speedup:.2}× {} minimization)",
-        plain.stats.classes,
-        secs(wall_plain),
-        secs(wall_min),
-        if speedup >= 1.0 { "for" } else { "against" },
-    );
-
-    let mut fields = base_fields(
-        name,
-        "ablation",
-        &params,
-        spec_atomics,
-        granularity,
-        &minimized,
-    );
-    fields.push(("wall_s".to_owned(), wall_min.as_secs_f64().to_value()));
-    fields.push((
-        "wall_plain_s".to_owned(),
-        wall_plain.as_secs_f64().to_value(),
-    ));
-    fields.push(("wall_nodedup_s".to_owned(), Value::Null));
-    fields.push(("speedup".to_owned(), speedup.to_value()));
-    fields.push(("verdicts_match".to_owned(), Value::Bool(verdicts_match)));
-    fields.push(("rss_ratio".to_owned(), Value::Null));
-    Value::Obj(fields)
-}
-
-/// Re-read the emitted file and assert the invariants CI relies on:
-/// it parses, has scenarios, every scenario decided at least one class,
-/// reports a hit rate, and no measured comparison diverged. `smoke`
-/// runs may carry `null` baselines (skipped), never divergent ones.
 /// The fixed seed the committed adversarial trajectory points use —
 /// scenario names embed it, so changing it renames every scenario (the
 /// gate treats them as new, not regressed).
@@ -1638,6 +1211,10 @@ fn adversarial_scales(smoke: bool) -> Vec<ScenarioFamily> {
     }
 }
 
+/// Re-read the emitted file and assert the invariants CI relies on:
+/// it parses, has scenarios, every scenario decided at least one class,
+/// reports a hit rate, and no measured comparison diverged. `smoke`
+/// runs may carry `null` baselines (skipped), never divergent ones.
 fn validate(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("re-reading {path}: {e}"));
     let value: Value =
@@ -1711,43 +1288,6 @@ fn validate(path: &str) {
     eprintln!("{path}: validated ({} scenarios)", scenarios.len());
 }
 
-/// The cold-ingest scales: ~12k FECs (the dedup-sweep scale point) and
-/// 100k+ FECs (tracking the paper's 10⁶ headline), or one tiny scale in
-/// smoke mode.
-fn ingest_scales(smoke: bool) -> Vec<(&'static str, WanParams)> {
-    if smoke {
-        return vec![(
-            "cold-ingest-smoke",
-            WanParams {
-                regions: 3,
-                routers_per_group: 1,
-                parallel_links: 1,
-                fecs_per_pair: 32,
-            },
-        )];
-    }
-    vec![
-        (
-            "cold-ingest-12k",
-            WanParams {
-                regions: 4,
-                routers_per_group: 2,
-                parallel_links: 2,
-                fecs_per_pair: 1024,
-            },
-        ),
-        (
-            "cold-ingest-100k",
-            WanParams {
-                regions: 5,
-                routers_per_group: 2,
-                parallel_links: 2,
-                fecs_per_pair: 5120,
-            },
-        ),
-    ]
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--ingest-worker") {
@@ -1772,13 +1312,6 @@ fn main() {
         .map(|s| run_scenario(s, threads, smoke))
         .collect();
     results.push(run_iterative(threads, smoke));
-    results.push(run_ablation(threads, smoke));
-    for (name, params) in ingest_scales(smoke) {
-        results.push(run_ingest(name, &params, threads));
-    }
-    for (name, params) in pipelined_scales(smoke) {
-        results.push(run_pipelined_ingest(name, &params, threads));
-    }
     for (name, params) in delta_scales(smoke) {
         results.push(run_delta_ingest(name, &params, threads, smoke));
     }

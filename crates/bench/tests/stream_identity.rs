@@ -1,13 +1,12 @@
-//! The streamed and pipelined cold paths must be indistinguishable from
-//! the materialized one: on the fig6/fig7 testbeds, feeding the
-//! serialized snapshots through `SnapshotReader` → `align_streaming` →
-//! `check_stream`, or through `SnapshotFramer` → `check_pipelined`,
-//! produces a byte-identical `CheckReport` to `from_json` → `align` →
-//! `check` (timing lines excluded — they are the only nondeterministic
-//! output).
+//! Streamed snapshots must be indistinguishable from an in-memory pair:
+//! on the fig6/fig7 testbeds, feeding the serialized snapshots through
+//! `SnapshotFramer` → `check_pipelined` — as JSON or packed as RSNB, at
+//! 1, 2, and 4 threads — produces a byte-identical `CheckReport` to
+//! `align` → `check` (timing lines excluded — they are the only
+//! nondeterministic output).
 
 use rela_core::{compile_program, parse_program, CheckOptions, CheckReport, Checker};
-use rela_net::{Granularity, SnapshotFramer, SnapshotPair, SnapshotReader};
+use rela_net::{BinarySnapshotWriter, Granularity, Snapshot, SnapshotFramer, SnapshotPair};
 use rela_sim::workload::{spec_of_size, synthetic_wan, WanParams};
 use rela_sim::{configured, simulate};
 
@@ -21,6 +20,15 @@ fn verdict_bytes(report: &CheckReport) -> String {
         .join("\n")
 }
 
+/// A snapshot in the binary (RSNB) container.
+fn rsnb(snapshot: &Snapshot) -> Vec<u8> {
+    let mut writer = BinarySnapshotWriter::new(Vec::new()).expect("header");
+    for (flow, graph) in snapshot.iter() {
+        writer.write(flow, graph).expect("record");
+    }
+    writer.finish().expect("trailer")
+}
+
 fn assert_streamed_identical(params: &WanParams, spec_atomics: usize, granularity: Granularity) {
     let wan = synthetic_wan(params);
     let (pre, unconverged) = simulate(&wan.topology, &wan.config, &wan.traffic);
@@ -31,46 +39,39 @@ fn assert_streamed_identical(params: &WanParams, spec_atomics: usize, granularit
 
     let program = parse_program(&spec_of_size(spec_atomics, params.regions)).expect("spec parses");
     let compiled = compile_program(&program, &wan.topology.db, granularity).expect("spec compiles");
-    let checker = Checker::new(&compiled, &wan.topology.db).with_options(CheckOptions {
-        threads: 2,
-        ..CheckOptions::default()
-    });
-
-    let materialized = checker.check(&SnapshotPair::align(&pre, &post));
-    let pre_json = pre.to_json().expect("pre serializes");
-    let post_json = post.to_json().expect("post serializes");
-    let streamed = checker
-        .check_stream(SnapshotPair::align_streaming(
-            SnapshotReader::new(pre_json.as_bytes()),
-            SnapshotReader::new(post_json.as_bytes()),
-        ))
-        .expect("streams are well-formed");
-
-    assert_eq!(streamed.total, materialized.total);
-    assert_eq!(streamed.compliant, materialized.compliant);
-    assert_eq!(streamed.part_counts, materialized.part_counts);
-    assert_eq!(streamed.violations, materialized.violations);
-    assert_eq!(streamed.stats.classes, materialized.stats.classes);
-    assert_eq!(streamed.stats.dedup_hits, materialized.stats.dedup_hits);
-    assert_eq!(
-        verdict_bytes(&streamed),
-        verdict_bytes(&materialized),
-        "streamed and materialized reports diverged"
-    );
-
-    let pipelined = checker
-        .check_pipelined(
-            SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
-            SnapshotFramer::new(post_json.as_bytes(), "post.json"),
-        )
-        .expect("streams are well-formed");
-    assert_eq!(pipelined.stats.classes, materialized.stats.classes);
-    assert_eq!(pipelined.stats.dedup_hits, materialized.stats.dedup_hits);
-    assert_eq!(
-        verdict_bytes(&pipelined),
-        verdict_bytes(&materialized),
-        "pipelined and materialized reports diverged"
-    );
+    let in_memory =
+        Checker::new(&compiled, &wan.topology.db).check(&SnapshotPair::align(&pre, &post));
+    assert_eq!(in_memory.stats.graph_decodes, 0);
+    let containers = [
+        (
+            "json",
+            pre.to_json().expect("pre serializes").into_bytes(),
+            post.to_json().expect("post serializes").into_bytes(),
+        ),
+        ("rsnb", rsnb(&pre), rsnb(&post)),
+    ];
+    for threads in [1, 2, 4] {
+        let checker = Checker::new(&compiled, &wan.topology.db).with_options(CheckOptions {
+            threads,
+            ..CheckOptions::default()
+        });
+        for (container, pre_bytes, post_bytes) in &containers {
+            let streamed = checker
+                .check_pipelined(
+                    SnapshotFramer::new(&pre_bytes[..], "pre"),
+                    SnapshotFramer::new(&post_bytes[..], "post"),
+                )
+                .expect("streams are well-formed");
+            assert_eq!(streamed.violations, in_memory.violations);
+            assert_eq!(streamed.stats.classes, in_memory.stats.classes);
+            assert_eq!(streamed.stats.dedup_hits, in_memory.stats.dedup_hits);
+            assert_eq!(
+                verdict_bytes(&streamed),
+                verdict_bytes(&in_memory),
+                "{container} streams at {threads} threads diverged from the pair"
+            );
+        }
+    }
 }
 
 /// The Fig. 6 testbed (default WAN scale, group granularity).

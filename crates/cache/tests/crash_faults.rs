@@ -5,21 +5,28 @@
 //!
 //! These tests install the **process-global** fault plan, so they live
 //! in their own integration binary and serialize on one lock — a plan
-//! leaking into a concurrent test would fault I/O it doesn't own.
+//! leaking into a concurrent test would fault I/O it doesn't own. Each
+//! test holds the lock for its whole body: an unfaulted `persist()`
+//! outside it could consume another test's plan.
 
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore};
 use rela_net::faultio::{self, FaultPlan};
 use rela_net::{BehaviorHash, Granularity};
 use serde::Value;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `body` with `spec` installed as the global plan; always clears
-/// the plan afterwards, even when `body` panics.
-fn with_plan(spec: &str, body: impl FnOnce()) {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+/// Take the process-wide fault-plan lock for one test's whole body.
+fn plan_lock() -> MutexGuard<'static, ()> {
+    PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run `body` with `spec` installed as the global plan; the caller's
+/// guard proves the lock is held. Always clears the plan afterwards,
+/// even when `body` panics.
+fn with_plan(_held: &MutexGuard<'static, ()>, spec: &str, body: impl FnOnce()) {
     faultio::install(FaultPlan::parse(spec).expect("valid fault spec"));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     faultio::clear();
@@ -58,6 +65,7 @@ fn store_files(dir: &Path, marker: &str) -> Vec<String> {
 
 #[test]
 fn injected_enospc_fails_the_flush_but_never_the_committed_file() {
+    let lock = plan_lock();
     let dir = tmpdir("enospc");
     let epoch = CacheEpoch::derive(1, "engine/v1");
     let store = VerdictStore::open(&dir, epoch).unwrap();
@@ -68,7 +76,7 @@ fn injected_enospc_fails_the_flush_but_never_the_committed_file() {
     let committed = std::fs::read_to_string(&path).unwrap();
 
     store.put(&key(2), Value::Int(2));
-    with_plan("enospc-after=16", || {
+    with_plan(&lock, "enospc-after=16", || {
         let err = store.persist().expect_err("the write budget must run out");
         assert!(err.to_string().contains("No space left"), "{err}");
     });
@@ -91,13 +99,14 @@ fn injected_enospc_fails_the_flush_but_never_the_committed_file() {
 
 #[test]
 fn a_torn_rename_is_quarantined_not_silently_dropped() {
+    let lock = plan_lock();
     let dir = tmpdir("torn");
     let epoch = CacheEpoch::derive(2, "engine/v1");
     let store = VerdictStore::open(&dir, epoch).unwrap();
     store.put(&key(1), Value::Int(1));
     // the tear truncates the temp file *after* its fsync, so the rename
     // commits half a document — the classic torn-write crash artifact
-    with_plan("tear=persist@1", || {
+    with_plan(&lock, "tear=persist@1", || {
         store.persist().unwrap();
     });
 
@@ -125,6 +134,7 @@ fn a_torn_rename_is_quarantined_not_silently_dropped() {
 
 #[test]
 fn a_panic_mid_persist_leaves_the_previous_file_intact() {
+    let lock = plan_lock();
     let dir = tmpdir("panic");
     let epoch = CacheEpoch::derive(3, "engine/v1");
     let store = VerdictStore::open(&dir, epoch).unwrap();
@@ -134,7 +144,7 @@ fn a_panic_mid_persist_leaves_the_previous_file_intact() {
     let committed = std::fs::read_to_string(&path).unwrap();
 
     store.put(&key(2), Value::Int(2));
-    with_plan("panic=persist@1", || {
+    with_plan(&lock, "panic=persist@1", || {
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.persist()));
         assert!(unwound.is_err(), "the injected panic must fire");
     });
@@ -152,6 +162,7 @@ fn a_panic_mid_persist_leaves_the_previous_file_intact() {
 
 #[test]
 fn eintr_during_the_flush_is_retried_not_fatal() {
+    let lock = plan_lock();
     let dir = tmpdir("eintr");
     let epoch = CacheEpoch::derive(4, "engine/v1");
     let store = VerdictStore::open(&dir, epoch).unwrap();
@@ -159,7 +170,7 @@ fn eintr_during_the_flush_is_retried_not_fatal() {
         store.put(&key(n), Value::Int(n as i64));
     }
     // a high EINTR rate: `write_all` must absorb every interruption
-    with_plan("seed=11,eintr=0.4", || {
+    with_plan(&lock, "seed=11,eintr=0.4", || {
         store.persist().unwrap();
     });
     let reopened = VerdictStore::open(&dir, epoch).unwrap();

@@ -15,10 +15,16 @@
 //! `graph_to_fsa → lower → image → determinize → equivalent` pipeline
 //! once per class on a canonicalized representative, and broadcasts the
 //! verdict — violations, rendered witness paths and all — to every
-//! member. Classes are distributed to workers through a work-stealing
-//! queue (an atomic index over the class list) so one pathological class
-//! cannot idle the other workers, and the interned [`SymbolTable`] is
-//! shared read-only across workers instead of being cloned per chunk.
+//! member.
+//!
+//! There is one engine, the pipelined one ([`Checker::check_pipelined`]):
+//! a sharded flow-join map, a sharded class registry, eager decides
+//! while records still arrive, and a finisher that decides the rest
+//! over a work-stealing queue under the run's definitive symbol table.
+//! Records reach class admission three ways — framed spans from two
+//! snapshot streams, retained spans replayed for a delta job, or decoded
+//! FECs of an in-memory [`SnapshotPair`] ([`Checker::check`]) — and the
+//! report bytes are the same whichever way they came.
 
 use crate::ast::Program;
 use crate::compile::{CompiledCheck, CompiledProgram, GuardedPart};
@@ -26,15 +32,13 @@ use crate::counterexample::{diff_equation, EquationDiff, PathRenderer, WitnessLi
 use crate::lower::{lower_pathset_dfa, lower_rel, PairFsas};
 use crate::pipeline::{
     Channel, ClassRef, ClassRegistry, DecideQueue, EagerOutcome, EagerTask, ErrorSink, FlowRef,
-    GraphSpan, JoinMap, Joined, JoinedSide, OneSided, PoisonOnPanic, Provenance, Recv, Side,
+    GraphSpan, JoinMap, Joined, JoinedSide, OneSided, PoisonOnPanic, Provenance, Recv, Rep, Side,
 };
 use crate::report::{
     CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
 };
 use crate::rir::RirSpec;
-use rela_automata::{
-    determinize, enumerate_words, equivalent, image, minimize, Dfa, Fst, Nfa, SymbolTable,
-};
+use rela_automata::{determinize, enumerate_words, equivalent, image, Dfa, Fst, Nfa, SymbolTable};
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::{
     behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa_prepared,
@@ -43,7 +47,7 @@ use rela_net::{
     SnapshotPair, DROP_LOCATION,
 };
 use serde::{Serialize, Value};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -59,11 +63,14 @@ use std::time::{Duration, Instant};
 // locations (`table_of`), which changes automaton layouts and therefore
 // witness enumeration order — engine.1 renderings must not replay.
 // engine.3: the store-key variant fingerprint widened from 24 to 25
-// option bytes (`minimize_sides`), so entries written by engine.2 could
-// never match again — keeping the epoch would leave them as permanent
-// dead weight in the live store file; moving the epoch lets `cache gc`
-// age the old file out instead.
-pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.3");
+// option bytes (the side-minimization flag), so entries written by
+// engine.2 could never match again — keeping the epoch would leave them
+// as permanent dead weight in the live store file; moving the epoch lets
+// `cache gc` age the old file out instead.
+// engine.4: the side-minimization ablation flag is gone and the variant
+// fingerprint narrowed back to 24 option bytes, so no engine.3 entry
+// can match again — the epoch moves for the same `cache gc` reason.
+pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.4");
 
 /// The persistent-cache epoch for a parsed program bound to a location
 /// database: a content hash of the spec AST *and* the database it
@@ -96,19 +103,8 @@ pub struct CheckOptions {
     pub list_paths: usize,
     /// Group FECs into behavior classes and decide one representative
     /// per class (on by default; `false` re-decides every FEC from
-    /// scratch, which is only useful for benchmarking the dedup win).
+    /// scratch — the per-FEC reference the dedup tests compare against).
     pub dedup: bool,
-    /// Hopcroft-minimize each determinized equation side before the
-    /// equivalence check (the minimize-before-equiv ablation; measured
-    /// by the perf harness's `ablation` scenario). Changes witness
-    /// enumeration order, so it participates in the verdict-store
-    /// variant fingerprint and defaults to off.
-    pub minimize_sides: bool,
-    /// Records in flight per decode worker in the pipelined cold path:
-    /// [`Checker::check_pipelined`]'s bounded channel holds
-    /// `pipeline_depth × workers` undecoded spans, which is the
-    /// back-pressure bound on raw-record memory. `0` = default (8).
-    pub pipeline_depth: usize,
 }
 
 impl Default for CheckOptions {
@@ -118,19 +114,20 @@ impl Default for CheckOptions {
             threads: 0,
             list_paths: 4,
             dedup: true,
-            minimize_sides: false,
-            pipeline_depth: 0,
         }
     }
 }
 
-/// Default records in flight per decode worker (`pipeline_depth` 0).
-const DEFAULT_PIPELINE_DEPTH: usize = 8;
+/// Records in flight per decode worker: the engine's bounded channel
+/// holds `IN_FLIGHT_PER_WORKER × workers` undecoded spans, which is the
+/// back-pressure bound on raw-record memory.
+const IN_FLIGHT_PER_WORKER: usize = 8;
 
 /// One behavior class: the pspec route shared by all members, the
-/// member indices into `pair.fecs` (first member is the representative),
-/// and the `(pre, post)` fingerprints that identify the class across
-/// runs (`None` with dedup disabled, where hashing is skipped).
+/// member indices into the run's flow list (first member is the
+/// representative), and the `(pre, post)` fingerprints that identify
+/// the class across runs (`None` with dedup disabled, where hashing is
+/// skipped).
 struct BehaviorClass {
     route: Option<usize>,
     members: Vec<usize>,
@@ -295,18 +292,22 @@ pub(crate) enum PreparedItem {
 }
 
 /// One bounded-channel message: a batch of framed raw records from a
-/// framer thread, or a batch of prepared items from the delta feeder.
-pub(crate) enum PipeBatch {
+/// framer thread, a batch of prepared items from the delta feeder, or a
+/// slice of an in-memory pair's already-decoded FECs.
+pub(crate) enum PipeBatch<'p> {
     Raw(Side, Vec<RawRecord>),
     Prepared(Vec<PreparedItem>),
+    Decoded(&'p [AlignedFec]),
 }
 
 /// What feeds the pipelined engine: two snapshot framers (the full
-/// path) or a pre-built item list (the delta path).
-enum PipeFeed<A: Read, B: Read> {
-    // boxed: a framer's buffers dwarf the prepared-items variant
+/// path), a pre-built item list (the delta path), or the aligned FECs
+/// of an in-memory pair.
+enum PipeFeed<'p, A: Read, B: Read> {
+    // boxed: a framer's buffers dwarf the other variants
     Framers(Box<SnapshotFramer<A>>, Box<SnapshotFramer<B>>),
     Prepared(Vec<PreparedItem>),
+    Pair(&'p [AlignedFec]),
 }
 
 /// Per-worker state of the pipelined cold path: the flows this worker
@@ -363,7 +364,7 @@ const FRAME_RECORD_HINT: usize = 4 * 1024;
 fn frame_side<R: Read>(
     mut framer: SnapshotFramer<R>,
     side: Side,
-    channel: &Channel<PipeBatch>,
+    channel: &Channel<PipeBatch<'_>>,
     errors: &ErrorSink,
     producers_left: &AtomicUsize,
 ) {
@@ -404,12 +405,7 @@ fn frame_side<R: Read>(
 /// The delta-path producer body: streams pre-built items (replays and
 /// framed delta records) over the same bounded channel the framers use,
 /// so back-pressure and abort behave identically in both modes.
-fn feed_prepared(
-    items: Vec<PreparedItem>,
-    channel: &Channel<PipeBatch>,
-    errors: &ErrorSink,
-    producers_left: &AtomicUsize,
-) {
+fn feed_prepared(items: Vec<PreparedItem>, channel: &Channel<PipeBatch<'_>>, errors: &ErrorSink) {
     let _poison_guard = PoisonOnPanic(channel);
     // same byte-budget batching as `frame_side`: replayed spans count
     // their retained graph bytes, raw delta records their span bytes
@@ -439,9 +435,7 @@ fn feed_prepared(
     if !batch.is_empty() {
         let _ = channel.send(PipeBatch::Prepared(batch));
     }
-    if producers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-        channel.close();
-    }
+    channel.close();
 }
 
 /// Fold `symbols` into a cached-verdict payload as a sorted `symbols`
@@ -477,10 +471,9 @@ fn table_fingerprint(names: &BTreeSet<String>) -> u128 {
 /// Memo key: `(side behavior hash, route, part index, is_post_side,
 /// symbol-table fingerprint)`. The table fingerprint matters because a
 /// DFA's state/symbol layout is a function of the table it was built
-/// against: the batch engines decide every class under one run-global
-/// table, while the pipelined engine's eager decides use per-class
-/// tables — sides may only be shared between decides that interned the
-/// same symbol set.
+/// against: the finisher decides under one run-global table, while
+/// eager decides use per-class tables — sides may only be shared
+/// between decides that interned the same symbol set.
 type MemoKey = (u128, usize, usize, bool, u128);
 
 /// Size cap for a shared, session-lifetime [`FstMemo`]: beyond this many
@@ -656,87 +649,28 @@ impl<'a> Checker<'a> {
         CheckReport::with_stats(Vec::new(), start.elapsed(), CheckStats::default())
     }
 
-    /// Check every FEC of an aligned snapshot pair.
+    /// Check every FEC of an aligned in-memory snapshot pair through the
+    /// pipelined engine. The FECs enter class admission already
+    /// decoded: each is behavior-hashed and admitted by behavior key,
+    /// and class representatives borrow the pair — no serialization, no
+    /// byte keys, no graph decodes, no copies. The report is
+    /// byte-identical to [`Checker::check_pipelined`] over the same
+    /// records.
     pub fn check(&self, pair: &SnapshotPair) -> CheckReport {
-        let start = Instant::now();
-        let threads = self.resolve_threads();
-        let classes = self.group_into_classes(pair, threads);
-        let reps: Vec<&AlignedFec> = classes.iter().map(|c| &pair.fecs[c.members[0]]).collect();
-        let flows: Vec<&FlowSpec> = pair.fecs.iter().map(|f| &f.flow).collect();
-        self.run_classes(start, &flows, &classes, &reps)
+        self.run_pipelined(
+            PipeFeed::<std::io::Empty, std::io::Empty>::Pair(&pair.fecs),
+            [None, None],
+        )
+        .expect("an in-memory pair has no ingest errors")
     }
 
-    /// Check a stream of aligned FECs — the cold-path counterpart of
-    /// [`Checker::check`] fed by [`SnapshotPair::align_streaming`].
-    ///
-    /// Records enter the fingerprint pass as they arrive: each FEC is
-    /// hashed and grouped immediately, and only the *first member of
-    /// each behavior class* (plus every flow key, needed for the report)
-    /// is retained. With dedup on, peak memory is therefore
-    /// O(classes) graphs instead of O(FECs) — on WAN-scale snapshots,
-    /// where classes ≪ FECs, this is the bulk of the cold-start
-    /// footprint (with `--no-dedup` every FEC is its own class and the
-    /// saving vanishes). Deciding starts once the stream ends.
-    ///
-    /// The produced [`CheckReport`] is byte-identical to the
-    /// materialized path's on the same records in any order: grouping
-    /// keys are content hashes, representatives are canonicalized before
-    /// deciding, the symbol table is built order-independently (see
-    /// `prepare_table`), and per-FEC results are sorted by flow. The
-    /// first stream error aborts the check and is returned unchanged.
-    pub fn check_stream<E>(
-        &self,
-        fecs: impl IntoIterator<Item = Result<AlignedFec, E>>,
-    ) -> Result<CheckReport, E> {
-        let start = Instant::now();
-        let mut flows: Vec<FlowSpec> = Vec::new();
-        let mut classes: Vec<BehaviorClass> = Vec::new();
-        let mut reps: Vec<AlignedFec> = Vec::new();
-        let mut index: HashMap<(BehaviorHash, BehaviorHash, usize), usize> = HashMap::new();
-        for fec in fecs {
-            let fec = fec?;
-            let ix = flows.len();
-            flows.push(fec.flow.clone());
-            if !self.options.dedup {
-                classes.push(BehaviorClass {
-                    route: self.route_of(&fec),
-                    members: vec![ix],
-                    key: None,
-                    byte_key: None,
-                });
-                reps.push(fec);
-                continue;
-            }
-            let (route, pre, post) = self.fingerprint_of(&fec);
-            match index.entry((pre, post, route.unwrap_or(usize::MAX))) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    classes[*e.get()].members.push(ix);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(classes.len());
-                    classes.push(BehaviorClass {
-                        route,
-                        members: vec![ix],
-                        key: Some((pre, post)),
-                        byte_key: None,
-                    });
-                    reps.push(fec);
-                }
-            }
-        }
-        Ok(self.run_classes(start, &flows, &classes, &reps))
-    }
-
-    /// Check two snapshot streams through the fully pipelined cold path.
-    ///
-    /// Where [`Checker::check_stream`] decodes, fingerprints, and groups
-    /// every record on the calling thread and only starts deciding after
-    /// the stream ends, this method overlaps all three stages:
+    /// Check two snapshot streams through the pipelined engine, which
+    /// overlaps framing, decoding, fingerprinting, and deciding:
     ///
     /// 1. **Framers** (one thread per snapshot) extract undecoded record
     ///    spans ([`rela_net::SnapshotFramer`]) and push them over a
-    ///    bounded channel — back-pressure caps raw-record memory at
-    ///    `pipeline_depth × workers` spans.
+    ///    bounded channel — back-pressure caps raw-record memory at a
+    ///    fixed number of in-flight spans per worker.
     /// 2. **Decode workers** parse each span, compute its side's
     ///    [`BehaviorHash`], and hash-join it with its partner on the
     ///    flow key (sharded join map; only unmatched records spill).
@@ -748,16 +682,15 @@ impl<'a> Checker<'a> {
     ///    immediately, and cold classes are decided eagerly against a
     ///    per-class symbol table. Compliant verdicts carry no rendered
     ///    paths, so they are final; violating ones are re-decided by the
-    ///    finisher under the run's definitive sorted table so witness
-    ///    bytes match the batch engines exactly.
+    ///    finisher under the run's definitive sorted table, so witness
+    ///    bytes do not depend on arrival order.
     ///
-    /// The produced report is byte-identical to [`Checker::check`] and
-    /// [`Checker::check_stream`] on the same records at any pipeline
-    /// depth and thread count. The first stream error aborts the
-    /// pipeline (framers stop, workers drain) and is returned with the
-    /// serial reader's offset/entry-index contract; when several errors
-    /// are discovered concurrently, the lowest entry index wins, `pre`
-    /// before `post`.
+    /// The produced report is byte-identical to [`Checker::check`] on
+    /// the same records at any thread count. The first stream error
+    /// aborts the pipeline (framers stop, workers drain) and is returned
+    /// with [`rela_net::SnapshotReader`]'s offset/entry-index contract;
+    /// when several errors are discovered concurrently, the lowest entry
+    /// index wins, `pre` before `post`.
     pub fn check_pipelined<A, B>(
         &self,
         pre: SnapshotFramer<A>,
@@ -790,11 +723,11 @@ impl<'a> Checker<'a> {
         )
     }
 
-    /// The pipelined engine shared by [`Checker::check_pipelined`] and
-    /// the delta path.
+    /// The engine behind [`Checker::check`], [`Checker::check_pipelined`],
+    /// and the delta path.
     fn run_pipelined<A, B>(
         &self,
-        feed: PipeFeed<A, B>,
+        feed: PipeFeed<'_, A, B>,
         labels: [Option<String>; 2],
     ) -> Result<CheckReport, SnapshotError>
     where
@@ -804,10 +737,6 @@ impl<'a> Checker<'a> {
         let start = Instant::now();
         let threads = self.resolve_threads();
         let workers = threads.max(1);
-        let depth = match self.options.pipeline_depth {
-            0 => DEFAULT_PIPELINE_DEPTH,
-            depth => depth,
-        };
         let default_lowered = LoweredCheck::new(&self.program.default_check);
         let routed_lowered: Vec<LoweredCheck<'_>> = self
             .program
@@ -817,15 +746,17 @@ impl<'a> Checker<'a> {
             .collect();
 
         // capacity counts batches: a records-in-flight budget of
-        // depth × workers, converted through the average-record hint
-        // into byte-cut batches
-        let channel: Channel<PipeBatch> = Channel::new(
-            depth
+        // IN_FLIGHT_PER_WORKER × workers, converted through the
+        // average-record hint into byte-cut batches. An in-memory pair's
+        // batches are borrowed slices, so the channel holds all of them.
+        let capacity = match &feed {
+            PipeFeed::Pair(fecs) => fecs.len().div_ceil(FRAME_BATCH_RECORDS),
+            _ => IN_FLIGHT_PER_WORKER
                 .saturating_mul(workers)
                 .saturating_mul(FRAME_RECORD_HINT)
-                .div_ceil(FRAME_BATCH_BYTES)
-                .max(2),
-        );
+                .div_ceil(FRAME_BATCH_BYTES),
+        };
+        let channel: Channel<PipeBatch<'_>> = Channel::new(capacity.max(2));
         let shards = workers.next_power_of_two().max(8);
         let join = JoinMap::new(shards);
         let registry = ClassRegistry::new(shards, self.options.dedup);
@@ -834,10 +765,8 @@ impl<'a> Checker<'a> {
         let local_memo = FstMemo::new();
         let memo: &FstMemo = self.memo.unwrap_or(&local_memo);
         let memo_hits_before = memo.hits.load(Ordering::Relaxed);
-        let producers_left = AtomicUsize::new(match &feed {
-            PipeFeed::Framers(..) => 2,
-            PipeFeed::Prepared(..) => 1,
-        });
+        // the two framers share the close; single producers close alone
+        let producers_left = AtomicUsize::new(2);
 
         let mut locals: Vec<PipelineWorkerState> = std::thread::scope(|scope| {
             {
@@ -848,7 +777,17 @@ impl<'a> Checker<'a> {
                         scope.spawn(move || frame_side(*post, Side::Post, channel, errors, left));
                     }
                     PipeFeed::Prepared(items) => {
-                        scope.spawn(move || feed_prepared(items, channel, errors, left));
+                        scope.spawn(move || feed_prepared(items, channel, errors));
+                    }
+                    // the whole pair is queued and the channel closed
+                    // before any worker starts, so workers never wait
+                    // on it and every decide happens in the finisher,
+                    // under the run's one table
+                    PipeFeed::Pair(fecs) => {
+                        for chunk in fecs.chunks(FRAME_BATCH_RECORDS) {
+                            let _ = channel.send(PipeBatch::Decoded(chunk));
+                        }
+                        channel.close();
                     }
                 }
             }
@@ -879,10 +818,7 @@ impl<'a> Checker<'a> {
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pipeline worker panicked"))
-                .collect()
+            handles.into_iter().map(join_worker).collect()
         });
 
         if errors.aborted() {
@@ -894,9 +830,9 @@ impl<'a> Checker<'a> {
 
         // Both streams ended cleanly: drain flows seen on one side only
         // (the missing side is the canonical empty-graph span, so it
-        // byte-hashes and fingerprints exactly as the serial pass
-        // would). Sorted by entry index so a decode error surfaces for
-        // the record the serial reader would hit first.
+        // byte-hashes and fingerprints exactly as an empty graph in an
+        // aligned pair). Sorted by entry index so a decode error
+        // surfaces for the record the serial reader would hit first.
         let mut drain_state = PipelineWorkerState::new();
         let empty_span = GraphSpan::whole(
             serde_json::to_string(&ForwardingGraph::default().to_value())
@@ -964,7 +900,7 @@ impl<'a> Checker<'a> {
         }
         let (accs, shard_offsets) = registry.into_classes();
         let mut classes: Vec<BehaviorClass> = Vec::with_capacity(accs.len());
-        let mut reps: Vec<Arc<AlignedFec>> = Vec::with_capacity(accs.len());
+        let mut reps: Vec<Rep<'_>> = Vec::with_capacity(accs.len());
         for acc in accs {
             classes.push(BehaviorClass {
                 route: acc.route,
@@ -1001,9 +937,9 @@ impl<'a> Checker<'a> {
         redo.extend((0..classes.len()).filter(|&ix| !covered[ix]));
         redo.sort_unstable();
 
-        // Final decides under the run's definitive sorted table — the
-        // same table every batch engine would build, which is what makes
-        // witness bytes identical across engines. Byte-warm classes
+        // Final decides under the run's definitive sorted table — a
+        // function of the class representatives' content alone, which is
+        // what makes witness bytes identical across inputs. Byte-warm classes
         // replay with placeholder reps, so the symbol names their
         // payloads recorded are folded back in here.
         let mut names = self.collect_symbols(&reps);
@@ -1098,13 +1034,13 @@ impl<'a> Checker<'a> {
     /// and decide admitted classes in the gaps (decode has priority —
     /// it is what un-blocks the framers).
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_worker(
+    fn pipeline_worker<'p>(
         &self,
         worker: usize,
-        channel: &Channel<PipeBatch>,
+        channel: &Channel<PipeBatch<'p>>,
         join: &JoinMap,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
+        registry: &ClassRegistry<'p>,
+        decide_queue: &DecideQueue<'p>,
         errors: &ErrorSink,
         memo: &FstMemo,
         default_lowered: &LoweredCheck<'_>,
@@ -1158,6 +1094,11 @@ impl<'a> Checker<'a> {
                         }
                     }
                 }
+                Recv::Item(PipeBatch::Decoded(fecs)) => {
+                    for fec in fecs {
+                        self.admit_decoded(worker, fec, registry, decide_queue, &mut state);
+                    }
+                }
                 Recv::Timeout => {
                     if let Some(task) = decide_queue.pop() {
                         self.eager_decide(task, memo, default_lowered, routed_lowered, &mut state);
@@ -1170,13 +1111,13 @@ impl<'a> Checker<'a> {
 
     /// Process one prepared (delta-path) item.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_prepared(
+    fn pipeline_prepared<'p>(
         &self,
         worker: usize,
         item: PreparedItem,
         join: &JoinMap,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
+        registry: &ClassRegistry<'p>,
+        decide_queue: &DecideQueue<'p>,
         labels: &[Option<String>; 2],
         state: &mut PipelineWorkerState,
     ) -> Result<(), (Side, SnapshotError)> {
@@ -1253,14 +1194,14 @@ impl<'a> Checker<'a> {
     /// undecoded — byte-level admission decides whether decoding is
     /// needed at all.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_record(
+    fn pipeline_record<'p>(
         &self,
         worker: usize,
         side: Side,
         raw: RawRecord,
         join: &JoinMap,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
+        registry: &ClassRegistry<'p>,
+        decide_queue: &DecideQueue<'p>,
         labels: &[Option<String>; 2],
         state: &mut PipelineWorkerState,
     ) -> Result<(), (Side, SnapshotError)> {
@@ -1320,7 +1261,7 @@ impl<'a> Checker<'a> {
     /// Join one fingerprinted side with its partner; a completed pair is
     /// admitted to the class registry.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_side(
+    fn pipeline_side<'p>(
         &self,
         worker: usize,
         side: Side,
@@ -1329,8 +1270,8 @@ impl<'a> Checker<'a> {
         hash: u128,
         provenance: Provenance,
         join: &JoinMap,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
+        registry: &ClassRegistry<'p>,
+        decide_queue: &DecideQueue<'p>,
         labels: &[Option<String>; 2],
         state: &mut PipelineWorkerState,
     ) -> Result<(), (Side, SnapshotError)> {
@@ -1384,23 +1325,19 @@ impl<'a> Checker<'a> {
     /// behavior-admit, store-consult — under the byte-shard lock, so
     /// exactly one member per byte key pays for the decode.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_admit_spans(
+    fn pipeline_admit_spans<'p>(
         &self,
         worker: usize,
         flow: FlowSpec,
         route: Option<usize>,
         pre: JoinedSide,
         post: JoinedSide,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
+        registry: &ClassRegistry<'p>,
+        decide_queue: &DecideQueue<'p>,
         labels: &[Option<String>; 2],
         state: &mut PipelineWorkerState,
     ) -> Result<(), (Side, SnapshotError)> {
-        let member = FlowRef {
-            worker,
-            local: state.flows.len(),
-        };
-        state.flows.push(flow.clone());
+        let member = new_member(worker, &flow, state);
         if !self.options.dedup {
             let pre_graph = self.decode_side(Side::Pre, &pre, labels, state)?;
             let post_graph = self.decode_side(Side::Post, &post, labels, state)?;
@@ -1409,14 +1346,16 @@ impl<'a> Checker<'a> {
                 pre: pre_graph,
                 post: post_graph,
             };
-            let (class, rep) = registry.admit(fec, None, None, route, member);
-            let rep = rep.expect("a keyless admission founds a class");
-            decide_queue.push(EagerTask {
-                class,
-                rep,
+            self.admit_fec(
+                Cow::Owned(fec),
+                None,
+                None,
                 route,
-                key: None,
-            });
+                member,
+                registry,
+                decide_queue,
+                state,
+            );
             return Ok(());
         }
         let byte_key = (pre.hash, post.hash, route.unwrap_or(usize::MAX));
@@ -1443,7 +1382,7 @@ impl<'a> Checker<'a> {
     /// behavior key, and — when this member also founds the behavior
     /// class — consult the behavior-keyed store as before.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn resolve_byte_class(
+    fn resolve_byte_class<'p>(
         &self,
         flow: &FlowSpec,
         route: Option<usize>,
@@ -1451,8 +1390,8 @@ impl<'a> Checker<'a> {
         post: &JoinedSide,
         byte_key: (u128, u128),
         member: FlowRef,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
+        registry: &ClassRegistry<'p>,
+        decide_queue: &DecideQueue<'p>,
         labels: &[Option<String>; 2],
         state: &mut PipelineWorkerState,
     ) -> Result<ClassRef, (Side, SnapshotError)> {
@@ -1475,7 +1414,8 @@ impl<'a> Checker<'a> {
                         pre: ForwardingGraph::default(),
                         post: ForwardingGraph::default(),
                     };
-                    let (class, _) = registry.admit(placeholder, None, None, route, member);
+                    let (class, _) =
+                        registry.admit(Cow::Owned(placeholder), None, None, route, member);
                     state.outcomes.push((class, EagerOutcome::Warm(result)));
                     return Ok(class);
                 }
@@ -1483,35 +1423,84 @@ impl<'a> Checker<'a> {
         }
         let pre_graph = self.decode_side(Side::Pre, pre, labels, state)?;
         let post_graph = self.decode_side(Side::Post, post, labels, state)?;
-        let level = self.hash_level(route);
-        let key = (
-            behavior_hash(&pre_graph, self.db, level),
-            behavior_hash(&post_graph, self.db, level),
-        );
         let fec = AlignedFec {
             flow: flow.clone(),
             pre: pre_graph,
             post: post_graph,
         };
-        let (class, rep) = registry.admit(fec, Some(key), Some(byte_key), route, member);
+        let key = self.behavior_key(&fec, route);
+        Ok(self.admit_fec(
+            Cow::Owned(fec),
+            Some(key),
+            Some(byte_key),
+            route,
+            member,
+            registry,
+            decide_queue,
+            state,
+        ))
+    }
+
+    /// Admit one FEC of an in-memory pair: it is already decoded, so it
+    /// goes straight to behavior-key admission (no byte key, no
+    /// decode), and a class it founds borrows it from the pair.
+    fn admit_decoded<'p>(
+        &self,
+        worker: usize,
+        fec: &'p AlignedFec,
+        registry: &ClassRegistry<'p>,
+        decide_queue: &DecideQueue<'p>,
+        state: &mut PipelineWorkerState,
+    ) {
+        let member = new_member(worker, &fec.flow, state);
+        let route = self.route_of_flow(&fec.flow);
+        let key = self.options.dedup.then(|| self.behavior_key(fec, route));
+        self.admit_fec(
+            Cow::Borrowed(fec),
+            key,
+            None,
+            route,
+            member,
+            registry,
+            decide_queue,
+            state,
+        );
+    }
+
+    /// Admit a decoded FEC under its behavior key (`None` with dedup
+    /// off: the FEC founds its own class). A founder replays from the
+    /// behavior-keyed store when it can — twinning the verdict under
+    /// `byte_key`, when there is one, so the next identical snapshot
+    /// skips the decode — and is queued for an eager decide otherwise.
+    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
+    fn admit_fec<'p>(
+        &self,
+        fec: Cow<'p, AlignedFec>,
+        key: Option<(BehaviorHash, BehaviorHash)>,
+        byte_key: Option<(u128, u128)>,
+        route: Option<usize>,
+        member: FlowRef,
+        registry: &ClassRegistry<'p>,
+        decide_queue: &DecideQueue<'p>,
+        state: &mut PipelineWorkerState,
+    ) -> ClassRef {
+        let (class, rep) = registry.admit(fec, key, byte_key, route, member);
         let Some(rep) = rep else {
-            // joined a behavior class founded under a different byte key
-            return Ok(class);
+            // joined a class founded by an earlier member
+            return class;
         };
-        let replay = self
-            .cache
-            .zip(self.store_key_parts(Some(key), route))
-            .and_then(|(cache, store_key)| {
-                cache.get(&store_key).and_then(|payload| {
-                    FecResult::from_cache_value(&payload, rep.flow.clone())
-                        .map(|result| (payload, result))
-                })
-            });
+        let replay =
+            self.cache
+                .zip(self.store_key_parts(key, route))
+                .and_then(|(cache, store_key)| {
+                    cache.get(&store_key).and_then(|payload| {
+                        FecResult::from_cache_value(&payload, rep.flow.clone())
+                            .map(|result| (cache, payload, result))
+                    })
+                });
         match replay {
-            Some((payload, result)) => {
-                if let Some(cache) = self.cache {
-                    // twin the behavior-warm verdict under the byte key
-                    // so the next identical snapshot skips the decode
+            Some((cache, payload, result)) => {
+                if let Some(byte_key) = byte_key {
                     let symbols = self.collect_symbols(std::slice::from_ref(&rep));
                     cache.put(
                         &self.byte_store_key(byte_key, route),
@@ -1524,10 +1513,10 @@ impl<'a> Checker<'a> {
                 class,
                 rep,
                 route,
-                key: Some(key),
+                key,
             }),
         }
-        Ok(class)
+        class
     }
 
     /// Decode one side's graph span, attributing failures exactly as the
@@ -1575,7 +1564,7 @@ impl<'a> Checker<'a> {
     /// handed back for a finisher re-decide.
     fn eager_decide(
         &self,
-        task: EagerTask,
+        task: EagerTask<'_>,
         memo: &FstMemo,
         default_lowered: &LoweredCheck<'_>,
         routed_lowered: &[LoweredCheck<'_>],
@@ -1617,168 +1606,17 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// The decide-and-broadcast engine shared by [`Checker::check`] and
-    /// [`Checker::check_stream`]: given the per-FEC flow keys, the
-    /// behavior classes, and one representative FEC per class
-    /// (`reps[i]` represents `classes[i]`; borrowed from the pair in the
-    /// materialized path, owned in the streaming path), consult the
-    /// persistent store, decide the cold classes over a work-stealing
-    /// queue, and broadcast verdicts to every member.
-    fn run_classes<F, R>(
-        &self,
-        start: Instant,
-        flows: &[F],
-        classes: &[BehaviorClass],
-        reps: &[R],
-    ) -> CheckReport
-    where
-        F: Borrow<FlowSpec> + Sync,
-        R: Borrow<AlignedFec> + Sync,
-    {
-        debug_assert_eq!(classes.len(), reps.len());
-        let names = self.collect_symbols(reps);
-        let table_fp = table_fingerprint(&names);
-        let table = self.table_of(&names);
-        let default_lowered = LoweredCheck::new(&self.program.default_check);
-        let routed_lowered: Vec<LoweredCheck<'_>> = self
-            .program
-            .routed
-            .iter()
-            .map(|r| LoweredCheck::new(&r.check))
-            .collect();
-        let threads = self.resolve_threads();
-
-        // Consult the persistent store (sharded across workers): a class
-        // whose verdict a previous run (same spec, same engine, same
-        // options) already decided replays warm.
-        let (warm, cold) = self.consult_store(flows, classes, threads);
-
-        // Decide one representative per cold class over the
-        // work-stealing queue.
-        let local_memo = FstMemo::new();
-        let memo: &FstMemo = self.memo.unwrap_or(&local_memo);
-        let memo_hits_before = memo.hits.load(Ordering::Relaxed);
-        let (decided, phases) = self.decide_classes(
-            &cold,
-            classes,
-            reps,
-            &default_lowered,
-            &routed_lowered,
-            &table,
-            table_fp,
-            memo,
-            threads,
-        );
-        if self.was_cancelled() {
-            return self.cancelled_report(start);
-        }
-
-        // Write fresh decisions back to the store (in memory; the owner
-        // of the store persists to disk after the run).
-        if let Some(cache) = self.cache {
-            for (ix, result, wall, class_phases) in &decided {
-                if let Some(key) = self.store_key(&classes[*ix]) {
-                    cache.put(&key, result.to_cache_value(*wall, class_phases));
-                }
-            }
-        }
-
-        let decided = decided
-            .into_iter()
-            .map(|(ix, result, wall, _)| (ix, result, wall))
-            .collect();
-        self.assemble_report(
-            start,
-            flows,
-            classes,
-            warm,
-            decided,
-            memo.hits
-                .load(Ordering::Relaxed)
-                .saturating_sub(memo_hits_before),
-            phases,
-            // the batch paths materialize every record during ingest, so
-            // every record costs one graph decode
-            flows.len() * 2,
-        )
-    }
-
-    /// Consult the persistent store for every class, sharded across
-    /// workers. The per-class consult — store lookup, payload clone,
-    /// JSON→[`FecResult`] parse — is the *entire* check on a fully-warm
-    /// run, and a serial pass leaves every core but one idle (ROADMAP:
-    /// parallel warm-replay lookup). Contiguous chunks keep the
-    /// warm/cold lists in class order, identical to a serial consult.
-    fn consult_store<F>(
-        &self,
-        flows: &[F],
-        classes: &[BehaviorClass],
-        threads: usize,
-    ) -> (Vec<(usize, FecResult)>, Vec<usize>)
-    where
-        F: Borrow<FlowSpec> + Sync,
-    {
-        if self.cache.is_none() {
-            return (Vec::new(), (0..classes.len()).collect());
-        }
-        // don't spawn when thread startup dwarfs the lookups
-        const MIN_CLASSES_PER_WORKER: usize = 64;
-        let workers = threads
-            .min(classes.len().div_ceil(MIN_CLASSES_PER_WORKER))
-            .max(1);
-        let consult_one = |class: &BehaviorClass| -> Option<FecResult> {
-            self.cache
-                .zip(self.store_key(class))
-                .and_then(|(cache, key)| {
-                    cache.get(&key).and_then(|payload| {
-                        FecResult::from_cache_value(
-                            &payload,
-                            flows[class.members[0]].borrow().clone(),
-                        )
-                    })
-                })
-        };
-        let outcomes: Vec<Option<FecResult>> = if workers <= 1 {
-            classes.iter().map(consult_one).collect()
-        } else {
-            let chunk = classes.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = classes
-                    .chunks(chunk)
-                    .map(|shard| {
-                        let consult_one = &consult_one;
-                        scope.spawn(move || shard.iter().map(consult_one).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("consult worker panicked"))
-                    .collect()
-            })
-        };
-        let mut warm = Vec::new();
-        let mut cold = Vec::with_capacity(classes.len());
-        for (ix, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Some(result) => warm.push((ix, result)),
-                None => cold.push(ix),
-            }
-        }
-        (warm, cold)
-    }
-
-    /// Decide the classes listed in `cold` (indices into `classes`) over
-    /// a work-stealing queue: workers pull the next undecided class from
-    /// an atomic cursor, so a pathological class occupies one worker
-    /// while the rest drain the queue, instead of stalling a statically
-    /// assigned chunk. Shared by [`Checker::run_classes`] and the
-    /// pipelined finisher.
+    /// The finisher: decide the classes listed in `cold` (indices into
+    /// `classes`) over a work-stealing queue — workers pull the next
+    /// undecided class from an atomic cursor, so a pathological class
+    /// occupies one worker while the rest drain the queue, instead of
+    /// stalling a statically assigned chunk.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn decide_classes<R>(
+    fn decide_classes(
         &self,
         cold: &[usize],
         classes: &[BehaviorClass],
-        reps: &[R],
+        reps: &[Rep<'_>],
         default_lowered: &LoweredCheck<'_>,
         routed_lowered: &[LoweredCheck<'_>],
         table: &SymbolTable,
@@ -1788,10 +1626,7 @@ impl<'a> Checker<'a> {
     ) -> (
         Vec<(usize, FecResult, Duration, PhaseTimings)>,
         PhaseTimings,
-    )
-    where
-        R: Borrow<AlignedFec> + Sync,
-    {
+    ) {
         let mut decided: Vec<(usize, FecResult, Duration, PhaseTimings)> =
             Vec::with_capacity(cold.len());
         let mut phases = PhaseTimings::default();
@@ -1804,7 +1639,7 @@ impl<'a> Checker<'a> {
                 let t0 = Instant::now();
                 let before = phases;
                 let result = self.check_class(
-                    reps[ix].borrow(),
+                    &reps[ix],
                     class.route,
                     class.key,
                     default_lowered,
@@ -1835,7 +1670,7 @@ impl<'a> Checker<'a> {
                                 let t0 = Instant::now();
                                 let before = local_phases;
                                 let result = self.check_class(
-                                    reps[ix].borrow(),
+                                    &reps[ix],
                                     class.route,
                                     class.key,
                                     default_lowered,
@@ -1851,10 +1686,7 @@ impl<'a> Checker<'a> {
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect::<Vec<_>>()
+                handles.into_iter().map(join_worker).collect::<Vec<_>>()
             });
             for (out, local_phases) in worker_out {
                 decided.extend(out);
@@ -1869,20 +1701,17 @@ impl<'a> Checker<'a> {
     /// sorted by flow, so the report bytes are independent of class
     /// ordering and decide scheduling.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn assemble_report<F>(
+    fn assemble_report(
         &self,
         start: Instant,
-        flows: &[F],
+        flows: &[FlowSpec],
         classes: &[BehaviorClass],
         warm: Vec<(usize, FecResult)>,
         decided: Vec<(usize, FecResult, Duration)>,
         fst_memo_hits: usize,
         phases: PhaseTimings,
         graph_decodes: usize,
-    ) -> CheckReport
-    where
-        F: Borrow<FlowSpec>,
-    {
+    ) -> CheckReport {
         let warm_hits = warm.len();
         let mut max_class_time = Duration::ZERO;
         let mut slots: Vec<Option<FecResult>> = vec![None; flows.len()];
@@ -1894,7 +1723,7 @@ impl<'a> Checker<'a> {
             max_class_time = max_class_time.max(class_time);
             for &member in &classes[class_ix].members {
                 let mut r = result.clone();
-                r.flow = flows[member].borrow().clone();
+                r.flow = flows[member].clone();
                 slots[member] = Some(r);
             }
         }
@@ -1916,52 +1745,11 @@ impl<'a> Checker<'a> {
         CheckReport::with_stats(results, start.elapsed(), stats)
     }
 
-    /// Group the pair's FECs into behavior classes. With dedup disabled
-    /// every FEC is its own class, so the same decide/broadcast engine
-    /// serves both modes.
-    fn group_into_classes(&self, pair: &SnapshotPair, threads: usize) -> Vec<BehaviorClass> {
-        if !self.options.dedup {
-            return pair
-                .fecs
-                .iter()
-                .enumerate()
-                .map(|(ix, fec)| BehaviorClass {
-                    route: self.route_of(fec),
-                    members: vec![ix],
-                    key: None,
-                    byte_key: None,
-                })
-                .collect();
-        }
-        let keys = self.fingerprint_fecs(pair, threads);
-        let mut classes: Vec<BehaviorClass> = Vec::new();
-        let mut index: HashMap<(BehaviorHash, BehaviorHash, usize), usize> = HashMap::new();
-        for (ix, (route, pre, post)) in keys.into_iter().enumerate() {
-            match index.entry((pre, post, route.unwrap_or(usize::MAX))) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    classes[*e.get()].members.push(ix);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(classes.len());
-                    classes.push(BehaviorClass {
-                        route,
-                        members: vec![ix],
-                        key: Some((pre, post)),
-                        byte_key: None,
-                    });
-                }
-            }
-        }
-        classes
-    }
-
-    /// The fingerprint of one FEC: its pspec route and its pre/post
-    /// behavior hashes at the granularity the routed check observes.
-    fn fingerprint_of(&self, fec: &AlignedFec) -> (Option<usize>, BehaviorHash, BehaviorHash) {
-        let route = self.route_of(fec);
+    /// The class key of a decoded FEC: its pre/post behavior hashes at
+    /// the granularity the routed check observes.
+    fn behavior_key(&self, fec: &AlignedFec, route: Option<usize>) -> (BehaviorHash, BehaviorHash) {
         let level = self.hash_level(route);
         (
-            route,
             behavior_hash(&fec.pre, self.db, level),
             behavior_hash(&fec.post, self.db, level),
         )
@@ -1986,49 +1774,6 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// The grouping fingerprint pass, sharded across workers. Hashing
-    /// costs ~µs/FEC, so at the paper's 10⁶-FEC scale a serial pass
-    /// becomes the bottleneck once deciding is deduped; contiguous
-    /// shards keep the output order (and therefore class numbering)
-    /// identical to the serial pass.
-    fn fingerprint_fecs(
-        &self,
-        pair: &SnapshotPair,
-        threads: usize,
-    ) -> Vec<(Option<usize>, BehaviorHash, BehaviorHash)> {
-        // don't spawn for workloads where thread startup dwarfs hashing
-        const MIN_FECS_PER_WORKER: usize = 256;
-        let n = pair.fecs.len();
-        let workers = threads.min(n.div_ceil(MIN_FECS_PER_WORKER)).max(1);
-        if workers <= 1 {
-            return pair
-                .fecs
-                .iter()
-                .map(|fec| self.fingerprint_of(fec))
-                .collect();
-        }
-        let chunk = n.div_ceil(workers);
-        let shards = std::thread::scope(|scope| {
-            let handles: Vec<_> = pair
-                .fecs
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|f| self.fingerprint_of(f))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fingerprint worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        shards.into_iter().flatten().collect()
-    }
-
     /// The persistent-store key for a class, folding in a fingerprint
     /// of every option that shapes the cached payload — witness limits
     /// and rendered path counts change what gets stored, so runs with
@@ -2041,13 +1786,10 @@ impl<'a> Checker<'a> {
     /// The option fingerprint folded into every store key; see
     /// [`Checker::store_key`].
     fn store_variant(&self) -> u64 {
-        let mut opts = [0u8; 25];
+        let mut opts = [0u8; 24];
         opts[..8].copy_from_slice(&(self.options.witness.max_paths as u64).to_le_bytes());
         opts[8..16].copy_from_slice(&(self.options.witness.max_len as u64).to_le_bytes());
         opts[16..24].copy_from_slice(&(self.options.list_paths as u64).to_le_bytes());
-        // side minimization changes witness enumeration order, i.e. the
-        // payload bytes — never share entries across the ablation
-        opts[24] = u8::from(self.options.minimize_sides);
         content_hash128(&opts) as u64
     }
 
@@ -2080,11 +1822,6 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// The first pspec whose predicate matches the flow, if any.
-    fn route_of(&self, fec: &AlignedFec) -> Option<usize> {
-        self.route_of_flow(&fec.flow)
-    }
-
     /// The first pspec whose predicate matches `flow`, if any. Routes
     /// are a function of the flow alone, so pipelined workers can route
     /// a record before its partner side arrives.
@@ -2108,7 +1845,7 @@ impl<'a> Checker<'a> {
             .collect();
         self.check_class(
             fec,
-            self.route_of(fec),
+            self.route_of_flow(&fec.flow),
             None,
             &default_lowered,
             &routed_lowered,
@@ -2138,10 +1875,9 @@ impl<'a> Checker<'a> {
     /// Interning the sorted *set* makes the table — and therefore
     /// automaton layouts, witness enumeration order, and report bytes —
     /// a function of the graphs' content only, independent of FEC
-    /// arrival order, dedup mode, and thread count. That invariant is
-    /// what lets [`Checker::check_stream`] and
-    /// [`Checker::check_pipelined`] promise byte-identical reports to
-    /// [`Checker::check`]. Interning only class representatives is sound
+    /// arrival order, input path, dedup mode, and thread count. That
+    /// invariant is what lets every way into the engine promise
+    /// byte-identical reports. Interning only class representatives is sound
     /// and sufficient: members of a class share the representative's
     /// granularity-level location set (the fingerprint hashes those very
     /// labels), so the pre-pass is O(classes), not O(FECs).
@@ -2313,14 +2049,9 @@ impl<'a> Checker<'a> {
         memo: &FstMemo,
         phases: &mut PhaseTimings,
     ) -> Vec<PartViolation> {
-        // the ablation knob: optionally Hopcroft-minimize each side
-        // before the equivalence check (cost counted as determinization)
         let det_side = |nfa: &Nfa, phases: &mut PhaseTimings| {
             let t0 = Instant::now();
-            let mut dfa = determinize(nfa);
-            if self.options.minimize_sides {
-                dfa = minimize(&dfa);
-            }
+            let dfa = determinize(nfa);
             phases.determinize += t0.elapsed();
             dfa
         };
@@ -2436,6 +2167,26 @@ impl<'a> Checker<'a> {
             }
         }
     }
+}
+
+/// Record `flow` in a worker's local flow list and return its member
+/// reference.
+fn new_member(worker: usize, flow: &FlowSpec, state: &mut PipelineWorkerState) -> FlowRef {
+    let member = FlowRef {
+        worker,
+        local: state.flows.len(),
+    };
+    state.flows.push(flow.clone());
+    member
+}
+
+/// Join a scoped engine thread, re-raising its panic with the original
+/// payload so the session boundary reports the real cause (a bare
+/// `expect` here would replace it with an opaque `Any`).
+fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 fn describe_diff(kind: &str, diff: &EquationDiff) -> String {
@@ -2980,69 +2731,61 @@ mod tests {
             .join("\n")
     }
 
-    #[test]
-    fn check_stream_is_byte_identical_to_check_in_any_arrival_order() {
-        let db = db();
-        let pair = duplicated_pair(16);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let checker = Checker::new(&compiled, &db);
-        let materialized = checker.check(&pair);
-
-        // forward arrival order
-        let streamed = checker
-            .check_stream(pair.fecs.iter().cloned().map(Ok::<_, ()>))
-            .unwrap();
-        // reversed arrival order (a different representative per class)
-        let reversed = checker
-            .check_stream(pair.fecs.iter().rev().cloned().map(Ok::<_, ()>))
-            .unwrap();
-        for report in [&streamed, &reversed] {
-            assert_eq!(report.total, materialized.total);
-            assert_eq!(report.compliant, materialized.compliant);
-            assert_eq!(report.part_counts, materialized.part_counts);
-            assert_eq!(report.violations, materialized.violations);
-            assert_eq!(report.stats.classes, materialized.stats.classes);
-            assert_eq!(report.stats.dedup_hits, materialized.stats.dedup_hits);
-            assert_eq!(verdict_bytes(report), verdict_bytes(&materialized));
+    /// `pair` with its FECs in reverse order: every class gets a
+    /// different representative and a different admission order.
+    fn reversed(pair: &SnapshotPair) -> SnapshotPair {
+        SnapshotPair {
+            fecs: pair.fecs.iter().rev().cloned().collect(),
         }
     }
 
     #[test]
-    fn check_stream_without_dedup_agrees_too() {
+    fn pair_check_is_byte_identical_in_any_arrival_order_and_thread_count() {
+        let db = db();
+        let pair = duplicated_pair(16);
+        let program = crate::parser::parse_program(NOCHANGE).unwrap();
+        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
+        let baseline = Checker::new(&compiled, &db).check(&pair);
+        assert!(!baseline.is_compliant(), "the testbed must violate");
+        assert_eq!(
+            baseline.stats.graph_decodes, 0,
+            "a decoded pair decodes nothing"
+        );
+        for threads in [1usize, 2, 4] {
+            let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+                threads,
+                ..CheckOptions::default()
+            });
+            for input in [pair.clone(), reversed(&pair)] {
+                let report = checker.check(&input);
+                assert_eq!(report.violations, baseline.violations);
+                assert_eq!(report.stats.classes, baseline.stats.classes);
+                assert_eq!(report.stats.dedup_hits, baseline.stats.dedup_hits);
+                assert_eq!(report.stats.graph_decodes, 0);
+                assert_eq!(
+                    verdict_bytes(&report),
+                    verdict_bytes(&baseline),
+                    "threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pair_check_without_dedup_agrees_too() {
         let db = db();
         let pair = duplicated_pair(8);
         let program = crate::parser::parse_program(NOCHANGE).unwrap();
         let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let options = CheckOptions {
-            dedup: false,
-            ..CheckOptions::default()
-        };
-        let checker = Checker::new(&compiled, &db).with_options(options);
-        let materialized = checker.check(&pair);
-        let streamed = checker
-            .check_stream(pair.fecs.iter().rev().cloned().map(Ok::<_, ()>))
-            .unwrap();
-        assert_eq!(streamed.stats.classes, 8, "no-dedup: one class per FEC");
-        assert_eq!(verdict_bytes(&streamed), verdict_bytes(&materialized));
-    }
-
-    #[test]
-    fn check_stream_replays_warm_from_the_persistent_store() {
-        let db = db();
-        let pair = duplicated_pair(10);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
-        // cold through the materialized path...
-        let cold = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
-        // ...warm through the streaming path: the engines share the store
-        let warm = Checker::new(&compiled, &db)
-            .with_cache(&store)
-            .check_stream(pair.fecs.iter().cloned().map(Ok::<_, ()>))
-            .unwrap();
-        assert_eq!(warm.stats.warm_hits, warm.stats.classes);
-        assert_eq!(verdict_bytes(&warm), verdict_bytes(&cold));
+        let deduped = Checker::new(&compiled, &db).check(&pair);
+        let per_fec = Checker::new(&compiled, &db)
+            .with_options(CheckOptions {
+                dedup: false,
+                ..CheckOptions::default()
+            })
+            .check(&reversed(&pair));
+        assert_eq!(per_fec.stats.classes, 8, "no-dedup: one class per FEC");
+        assert_eq!(verdict_bytes(&per_fec), verdict_bytes(&deduped));
     }
 
     /// The two snapshots behind [`duplicated_pair`], unaligned.
@@ -3074,31 +2817,28 @@ mod tests {
     }
 
     #[test]
-    fn check_pipelined_is_byte_identical_across_depths_and_threads() {
+    fn check_pipelined_is_byte_identical_to_the_pair_across_threads() {
         let db = db();
         let (pre, post) = duplicated_snapshots(16);
         let pair = SnapshotPair::align(&pre, &post);
         let program = crate::parser::parse_program(NOCHANGE).unwrap();
         let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let materialized = Checker::new(&compiled, &db).check(&pair);
-        assert!(!materialized.is_compliant(), "the testbed must violate");
+        let in_memory = Checker::new(&compiled, &db).check(&pair);
+        assert!(!in_memory.is_compliant(), "the testbed must violate");
 
-        for depth in [1usize, 2, 8] {
-            for threads in [1usize, 2, 4] {
-                let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
-                    threads,
-                    pipeline_depth: depth,
-                    ..CheckOptions::default()
-                });
-                let report = pipelined(&checker, &pre, &post);
-                assert_eq!(report.stats.classes, materialized.stats.classes);
-                assert_eq!(report.stats.fecs, materialized.stats.fecs);
-                assert_eq!(
-                    verdict_bytes(&report),
-                    verdict_bytes(&materialized),
-                    "depth {depth} threads {threads}"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+                threads,
+                ..CheckOptions::default()
+            });
+            let report = pipelined(&checker, &pre, &post);
+            assert_eq!(report.stats.classes, in_memory.stats.classes);
+            assert_eq!(report.stats.fecs, in_memory.stats.fecs);
+            assert_eq!(
+                verdict_bytes(&report),
+                verdict_bytes(&in_memory),
+                "threads {threads}"
+            );
         }
     }
 
@@ -3122,12 +2862,12 @@ mod tests {
                 ..CheckOptions::default()
             };
             let checker = Checker::new(&compiled, &db).with_options(options);
-            let batch = checker.check(&pair);
+            let in_memory = checker.check(&pair);
             let piped = pipelined(&checker, &pre, &post);
             assert_eq!(piped.total, 3, "dedup={dedup}");
             assert_eq!(
                 verdict_bytes(&piped),
-                verdict_bytes(&batch),
+                verdict_bytes(&in_memory),
                 "dedup={dedup}"
             );
         }
@@ -3155,15 +2895,41 @@ mod tests {
         assert_eq!(warm.stats.warm_hits, warm.stats.classes);
         assert_eq!(warm.stats.graph_decodes, 0);
         assert_eq!(verdict_bytes(&warm), verdict_bytes(&cold));
-        // the batch engines replay the very same store entries
-        let batch_warm = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
-        assert_eq!(batch_warm.stats.warm_hits, batch_warm.stats.classes);
-        assert_eq!(verdict_bytes(&batch_warm), verdict_bytes(&cold));
+        // an in-memory pair replays the very same behavior-keyed entries
+        let pair_warm = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
+        assert_eq!(pair_warm.stats.warm_hits, pair_warm.stats.classes);
+        assert_eq!(verdict_bytes(&pair_warm), verdict_bytes(&cold));
+    }
+
+    #[test]
+    fn a_pair_run_warms_the_store_for_streams() {
+        let db = db();
+        let (pre, post) = duplicated_snapshots(10);
+        let pair = SnapshotPair::align(&pre, &post);
+        let program = crate::parser::parse_program(NOCHANGE).unwrap();
+        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
+        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
+        let checker = Checker::new(&compiled, &db).with_cache(&store);
+        let cold = checker.check(&pair);
+        // a pair has no byte keys: only the behavior-keyed entries
+        assert_eq!(store.stats().inserted, cold.stats.classes);
+        let warm = pipelined(&checker, &pre, &post);
+        assert_eq!(warm.stats.warm_hits, warm.stats.classes);
+        assert_eq!(verdict_bytes(&warm), verdict_bytes(&cold));
+    }
+
+    /// The error [`rela_net::SnapshotReader`] reports for `json`: the
+    /// contract the engine's ingest errors must match byte for byte.
+    fn reader_error(json: &str, label: &str) -> SnapshotError {
+        rela_net::SnapshotReader::new(json.as_bytes())
+            .with_label(label)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_err()
     }
 
     #[test]
     fn check_pipelined_matches_the_serial_error_contract() {
-        use rela_net::{SnapshotFramer, SnapshotReader};
+        use rela_net::SnapshotFramer;
         let db = db();
         let (pre, post) = duplicated_snapshots(6);
         let pre_json = pre.to_json().unwrap();
@@ -3177,12 +2943,7 @@ mod tests {
             threads: 4,
             ..CheckOptions::default()
         });
-        let serial_err = checker
-            .check_stream(SnapshotPair::align_streaming(
-                SnapshotReader::new(pre_json.as_bytes()).with_label("pre.json"),
-                SnapshotReader::new(cut.as_bytes()).with_label("post.json"),
-            ))
-            .unwrap_err();
+        let serial_err = reader_error(cut, "post.json");
         let piped_err = checker
             .check_pipelined(
                 SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
@@ -3197,12 +2958,7 @@ mod tests {
         // record-level decode failures carry the same contract
         let bad = r#"{"fecs": [{"graph": {"vertices": [], "edges": [],
                       "sources": [], "sinks": [], "drops": []}}]}"#;
-        let serial_err = checker
-            .check_stream(SnapshotPair::align_streaming(
-                SnapshotReader::new(bad.as_bytes()).with_label("pre.json"),
-                SnapshotReader::new(post_json.as_bytes()).with_label("post.json"),
-            ))
-            .unwrap_err();
+        let serial_err = reader_error(bad, "pre.json");
         let piped_err = checker
             .check_pipelined(
                 SnapshotFramer::new(bad.as_bytes(), "pre.json"),
@@ -3247,16 +3003,13 @@ mod tests {
         }
         writer.write(&flow("10.2.0.0/24", "x1"), &g).unwrap(); // dup of #0
         let wide_json = String::from_utf8(writer.finish().unwrap()).unwrap();
-        let serial_err = rela_net::SnapshotReader::new(wide_json.as_bytes())
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_err();
+        let serial_err = reader_error(&wide_json, "pre.json");
         assert_eq!(serial_err.entry_index(), Some(20));
         for threads in [1usize, 4] {
             for _ in 0..4 {
                 let err = Checker::new(&compiled, &db)
                     .with_options(CheckOptions {
                         threads,
-                        pipeline_depth: 1,
                         ..CheckOptions::default()
                     })
                     .check_pipelined(
@@ -3285,68 +3038,6 @@ mod tests {
             .unwrap();
         assert!(report.is_compliant());
         assert_eq!(report.total, 0);
-    }
-
-    #[test]
-    fn minimize_sides_ablation_preserves_verdicts() {
-        let pair = duplicated_pair(12);
-        let plain = check_with(CheckOptions::default(), &pair);
-        let minimized = check_with(
-            CheckOptions {
-                minimize_sides: true,
-                ..CheckOptions::default()
-            },
-            &pair,
-        );
-        // verdict-level agreement: minimization may reorder witness
-        // enumeration, but never changes what holds
-        assert_eq!(minimized.total, plain.total);
-        assert_eq!(minimized.compliant, plain.compliant);
-        assert_eq!(minimized.part_counts, plain.part_counts);
-        let flows = |r: &CheckReport| {
-            r.violations
-                .iter()
-                .map(|v| v.flow.clone())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(flows(&minimized), flows(&plain));
-    }
-
-    #[test]
-    fn minimize_sides_never_shares_store_entries_with_plain_runs() {
-        let db = db();
-        let pair = duplicated_pair(8);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
-        let plain = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
-        assert_eq!(plain.stats.warm_hits, 0);
-        let ablated = Checker::new(&compiled, &db)
-            .with_options(CheckOptions {
-                minimize_sides: true,
-                ..CheckOptions::default()
-            })
-            .with_cache(&store)
-            .check(&pair);
-        assert_eq!(ablated.stats.warm_hits, 0, "option changes ⇒ full miss");
-    }
-
-    #[test]
-    fn check_stream_aborts_on_the_first_stream_error() {
-        let db = db();
-        let pair = duplicated_pair(4);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let stream = pair
-            .fecs
-            .iter()
-            .cloned()
-            .map(Ok)
-            .chain(std::iter::once(Err("post.json: truncated")));
-        let err = Checker::new(&compiled, &db)
-            .check_stream(stream)
-            .unwrap_err();
-        assert_eq!(err, "post.json: truncated");
     }
 }
 

@@ -50,7 +50,7 @@ pub use report::{
 };
 pub use rir::{PathSet, Rel, RirSpec};
 pub use session::{
-    CheckSession, IngestMode, JobError, JobInput, JobOptions, JobSpec, LabeledSource, SessionConfig,
+    CheckSession, JobError, JobInput, JobOptions, JobSpec, LabeledSource, SessionConfig,
 };
 
 /// Any failure on the parse → compile → check path.

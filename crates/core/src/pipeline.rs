@@ -1,6 +1,6 @@
-//! Infrastructure for the pipelined cold path
+//! Infrastructure for the check engine
 //! ([`Checker::check_pipelined`](crate::check::Checker::check_pipelined)):
-//! a bounded MPMC channel between the framer threads and the
+//! a bounded MPMC channel between the producer threads and the
 //! decode/fingerprint worker pool, a sharded flow-join map, a sharded
 //! behavior-class registry, and the first-error sink that aborts the
 //! pipeline cleanly.
@@ -11,6 +11,7 @@
 
 use crate::report::FecResult;
 use rela_net::{AlignedFec, BehaviorHash, FlowSpec, RawRecord, SnapshotError, SpanBytes};
+use std::borrow::{Borrow, Cow};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -19,8 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Which snapshot stream a record came from. `Pre` orders before `Post`
-/// when ranking simultaneous errors, mirroring the serial join's
-/// pull-pre-first alternation.
+/// when ranking simultaneous errors at the same entry index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Side {
     /// The pre-change snapshot.
@@ -172,10 +172,9 @@ impl<T> Drop for PoisonOnPanic<'_, T> {
 
 /// Collects stream errors from framers and decode workers and exposes
 /// the abort flag. When several errors are discovered concurrently, the
-/// one the serial reader would have hit first wins: lowest entry index,
-/// `pre` before `post` at the same index (the serial hash-join pulls
-/// sides alternately, pre first), lowest byte offset as the final tie
-/// break. Errors outside any entry (header/trailer) rank last.
+/// winner is deterministic: lowest entry index, `pre` before `post` at
+/// the same index, lowest byte offset as the final tie break. Errors
+/// outside any entry (header/trailer) rank last.
 pub(crate) struct ErrorSink {
     errors: Mutex<Vec<(usize, Side, SnapshotError)>>,
     abort: AtomicBool,
@@ -477,8 +476,34 @@ pub(crate) struct FlowRef {
     pub(crate) local: usize,
 }
 
+/// A class representative: decoded from a record (owned, and shared
+/// with the decide queue), or borrowed from an in-memory pair that
+/// outlives the run — so a pair's representatives are never copied.
+#[derive(Clone)]
+pub(crate) enum Rep<'p> {
+    Decoded(Arc<AlignedFec>),
+    InPair(&'p AlignedFec),
+}
+
+impl std::ops::Deref for Rep<'_> {
+    type Target = AlignedFec;
+
+    fn deref(&self) -> &AlignedFec {
+        match self {
+            Rep::Decoded(fec) => fec,
+            Rep::InPair(fec) => fec,
+        }
+    }
+}
+
+impl Borrow<AlignedFec> for Rep<'_> {
+    fn borrow(&self) -> &AlignedFec {
+        self
+    }
+}
+
 /// One behavior class accumulated during ingest.
-pub(crate) struct ClassAcc {
+pub(crate) struct ClassAcc<'p> {
     pub(crate) route: Option<usize>,
     pub(crate) key: Option<(BehaviorHash, BehaviorHash)>,
     /// The `(pre, post)` raw-span content hashes of the member that
@@ -490,7 +515,7 @@ pub(crate) struct ClassAcc {
     pub(crate) byte_key: Option<(u128, u128)>,
     /// The first member's aligned FEC — the class representative (shared
     /// with the decide queue, which may already be checking it).
-    pub(crate) rep: Arc<AlignedFec>,
+    pub(crate) rep: Rep<'p>,
     pub(crate) members: Vec<FlowRef>,
 }
 
@@ -508,30 +533,30 @@ pub(crate) struct ClassRef {
 /// and `usize::MAX` as the default-check route.
 pub(crate) type ClassKey = (u128, u128, usize);
 
-struct RegistryShard {
+struct RegistryShard<'p> {
     index: HashMap<ClassKey, usize>,
-    classes: Vec<ClassAcc>,
+    classes: Vec<ClassAcc<'p>>,
 }
 
 /// The concurrent class registry: admits each aligned FEC under its
 /// `(pre, post, route)` fingerprint, keeping only the first member's
 /// graphs. Sharded by key hash so workers admitting different classes
 /// rarely contend. With dedup off every FEC founds its own class (the
-/// index map is bypassed), mirroring the serial engine.
+/// index map is bypassed).
 ///
 /// A second sharded index maps **raw-span content hashes** to classes
 /// ([`ClassRegistry::admit_by_bytes`]): byte-identical records are
 /// identical JSON, hence identical graphs, hence the same behavior
 /// fingerprints — so once one member of a byte class has decoded and
 /// resolved, every later member joins without touching its bytes again.
-pub(crate) struct ClassRegistry {
-    shards: Vec<Mutex<RegistryShard>>,
+pub(crate) struct ClassRegistry<'p> {
+    shards: Vec<Mutex<RegistryShard<'p>>>,
     byte_index: Vec<Mutex<HashMap<ClassKey, ClassRef>>>,
     dedup: bool,
 }
 
-impl ClassRegistry {
-    pub(crate) fn new(shards: usize, dedup: bool) -> ClassRegistry {
+impl<'p> ClassRegistry<'p> {
+    pub(crate) fn new(shards: usize, dedup: bool) -> ClassRegistry<'p> {
         ClassRegistry {
             shards: (0..shards.max(1))
                 .map(|_| {
@@ -552,15 +577,15 @@ impl ClassRegistry {
     /// class it landed in, plus the representative handle when this
     /// member *founded* the class (the caller then consults the store or
     /// queues a decide); `None` when it joined an existing one (its
-    /// graphs are dropped with `fec`).
+    /// graphs are dropped with `fec`). A borrowed FEC is never copied.
     pub(crate) fn admit(
         &self,
-        fec: AlignedFec,
+        fec: Cow<'p, AlignedFec>,
         key: Option<(BehaviorHash, BehaviorHash)>,
         byte_key: Option<(u128, u128)>,
         route: Option<usize>,
         member: FlowRef,
-    ) -> (ClassRef, Option<Arc<AlignedFec>>) {
+    ) -> (ClassRef, Option<Rep<'p>>) {
         let (map_key, shard_ix) = match key {
             Some((pre, post)) if self.dedup => {
                 let map_key = (pre.as_u128(), post.as_u128(), route.unwrap_or(usize::MAX));
@@ -587,7 +612,10 @@ impl ClassRegistry {
             }
             shard.index.insert(map_key, ix);
         }
-        let rep = Arc::new(fec);
+        let rep = match fec {
+            Cow::Owned(fec) => Rep::Decoded(Arc::new(fec)),
+            Cow::Borrowed(fec) => Rep::InPair(fec),
+        };
         shard.classes.push(ClassAcc {
             route,
             key,
@@ -643,7 +671,7 @@ impl ClassRegistry {
     /// is fixed; within a shard, admission order — the flat order is
     /// scheduling-dependent, which is fine because the report engine is
     /// order-independent (sorted symbol interning, flow-sorted results).
-    pub(crate) fn into_classes(self) -> (Vec<ClassAcc>, Vec<usize>) {
+    pub(crate) fn into_classes(self) -> (Vec<ClassAcc<'p>>, Vec<usize>) {
         let mut offsets = Vec::with_capacity(self.shards.len());
         let mut classes = Vec::new();
         for shard in self.shards {
@@ -655,9 +683,9 @@ impl ClassRegistry {
 }
 
 /// A class waiting for an eager (mid-ingest) decide.
-pub(crate) struct EagerTask {
+pub(crate) struct EagerTask<'p> {
     pub(crate) class: ClassRef,
-    pub(crate) rep: Arc<AlignedFec>,
+    pub(crate) rep: Rep<'p>,
     pub(crate) route: Option<usize>,
     pub(crate) key: Option<(BehaviorHash, BehaviorHash)>,
 }
@@ -665,25 +693,25 @@ pub(crate) struct EagerTask {
 /// The queue feeding idle decode workers with founded classes to decide
 /// while records still arrive. Leftovers (classes founded near the end
 /// of the stream) are decided by the finisher with the final table.
-pub(crate) struct DecideQueue {
-    tasks: Mutex<VecDeque<EagerTask>>,
+pub(crate) struct DecideQueue<'p> {
+    tasks: Mutex<VecDeque<EagerTask<'p>>>,
 }
 
-impl DecideQueue {
-    pub(crate) fn new() -> DecideQueue {
+impl<'p> DecideQueue<'p> {
+    pub(crate) fn new() -> DecideQueue<'p> {
         DecideQueue {
             tasks: Mutex::new(VecDeque::new()),
         }
     }
 
-    pub(crate) fn push(&self, task: EagerTask) {
+    pub(crate) fn push(&self, task: EagerTask<'p>) {
         self.tasks
             .lock()
             .expect("decide queue lock")
             .push_back(task);
     }
 
-    pub(crate) fn pop(&self) -> Option<EagerTask> {
+    pub(crate) fn pop(&self) -> Option<EagerTask<'p>> {
         self.tasks.lock().expect("decide queue lock").pop_front()
     }
 }
@@ -742,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn error_sink_ranks_like_the_serial_join() {
+    fn error_sink_ranks_by_entry_then_side() {
         let sink = ErrorSink::new();
         let at = |entry: Option<usize>| {
             let e = SnapshotError::at("boom", 7);

@@ -208,12 +208,13 @@ pub struct CheckStats {
     /// Wall-clock of the slowest single behavior class — the quantity
     /// work-stealing bounds the critical path by.
     pub max_class_time: Duration,
-    /// Forwarding graphs actually decoded during ingest. The pipelined
-    /// path admits records by raw-span content hash, so byte-identical
-    /// records beyond a class founder — and byte-warm classes replayed
-    /// from the store — cost zero decodes. Batch paths decode every
-    /// record (`2 × fecs`). Not printed by `Display` (report bytes are
-    /// decode-schedule-invariant); exported via the serve stats JSON.
+    /// Forwarding graphs actually decoded during ingest. Stream and
+    /// delta records are admitted by raw-span content hash, so
+    /// byte-identical records beyond a class founder — and byte-warm
+    /// classes replayed from the store — cost zero decodes. An in-memory
+    /// pair is already decoded, so it always reports 0. Not printed by
+    /// `Display` (report bytes are decode-schedule-invariant); exported
+    /// via the serve stats JSON.
     pub graph_decodes: usize,
 }
 

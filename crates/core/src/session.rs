@@ -1,11 +1,8 @@
 //! The unified check-job API: one resident [`CheckSession`] running any
 //! number of [`JobSpec`]s.
 //!
-//! Historically the crate grew three sibling entry points —
-//! [`Checker::check`], [`Checker::check_stream`],
-//! [`Checker::check_pipelined`] — plus the CLI-only `run_check`
-//! convenience, each re-deriving the same warm state (parsed spec,
-//! compiled program, verdict store, FST memo) per call. The paper's
+//! A bare [`Checker`] re-derives its warm state (parsed spec, compiled
+//! program, verdict store, FST memo) per caller. The paper's
 //! §8.1 workflow is iterative: an operator re-submits near-identical
 //! jobs against one spec, so that warm state is exactly what should
 //! persist between checks. This module splits the API along that line:
@@ -19,9 +16,10 @@
 //!
 //! One-shot CLI mode is the degenerate case — open a session, run one
 //! job, exit — and `rela serve` is the same session kept resident
-//! behind a socket. Reports are byte-identical across all ingest modes
-//! and between a fresh and a warm session (the memo and store change
-//! wall time and the stats line, never verdict bytes).
+//! behind a socket. Every input kind runs through the one engine, so
+//! reports are byte-identical across inputs and between a fresh and a
+//! warm session (the memo and store change wall time and the stats
+//! line, never verdict bytes).
 //!
 //! ```
 //! use rela_core::{CheckSession, JobSpec, SessionConfig};
@@ -59,8 +57,8 @@ use crate::report::CheckReport;
 use crate::RelaError;
 use rela_cache::{CacheEpoch, VerdictStore};
 use rela_net::{
-    FlowDecoded, FlowSpec, Granularity, LocationDb, MmapReader, MmapSource, Snapshot,
-    SnapshotDelta, SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair, SnapshotReader,
+    FlowDecoded, FlowSpec, Granularity, LocationDb, MmapReader, MmapSource, SnapshotDelta,
+    SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
@@ -106,33 +104,6 @@ impl Default for SessionConfig {
     }
 }
 
-/// How a job's snapshot streams are ingested. Irrelevant for
-/// [`JobInput::Pair`], which is already in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestMode {
-    /// The fully pipelined cold path ([`Checker::check_pipelined`]):
-    /// framing, decoding, fingerprinting, and deciding overlap. `depth`
-    /// is records in flight per decode worker; `0` = engine default.
-    /// This is the default mode.
-    Pipelined {
-        /// Records in flight per decode worker (`0` = engine default).
-        depth: usize,
-    },
-    /// Single-threaded streaming ingest ([`Checker::check_stream`]):
-    /// O(classes) graph residency, deciding starts after the streams
-    /// end.
-    Serial,
-    /// Materialize both snapshots in memory, then align and check
-    /// ([`Checker::check`]).
-    Materialized,
-}
-
-impl Default for IngestMode {
-    fn default() -> IngestMode {
-        IngestMode::Pipelined { depth: 0 }
-    }
-}
-
 /// Per-job knobs: everything about a check that is legitimate to vary
 /// between two submissions to one session. This struct is the single
 /// source of truth for the one-shot CLI flags *and* the serve wire
@@ -147,11 +118,6 @@ pub struct JobOptions {
     /// Group FECs into behavior classes and decide one representative
     /// per class.
     pub dedup: bool,
-    /// Hopcroft-minimize each determinized equation side before the
-    /// equivalence check (ablation knob).
-    pub minimize_sides: bool,
-    /// Stream ingest mode (ignored for in-memory pairs).
-    pub ingest: IngestMode,
     /// Consult (and write back to) the session's verdict store, when
     /// one is attached.
     pub use_cache: bool,
@@ -174,8 +140,6 @@ impl Default for JobOptions {
             witness: defaults.witness,
             list_paths: defaults.list_paths,
             dedup: defaults.dedup,
-            minimize_sides: defaults.minimize_sides,
-            ingest: IngestMode::default(),
             use_cache: true,
             delta_base: None,
             deadline_ms: None,
@@ -185,19 +149,11 @@ impl Default for JobOptions {
 
 impl Serialize for JobOptions {
     fn to_value(&self) -> Value {
-        let (mode, depth) = match self.ingest {
-            IngestMode::Pipelined { depth } => ("pipelined", depth),
-            IngestMode::Serial => ("serial", 0),
-            IngestMode::Materialized => ("materialized", 0),
-        };
         Value::obj(vec![
             ("max_paths", self.witness.max_paths.to_value()),
             ("max_len", self.witness.max_len.to_value()),
             ("list_paths", self.list_paths.to_value()),
             ("dedup", self.dedup.to_value()),
-            ("minimize_sides", self.minimize_sides.to_value()),
-            ("ingest", Value::Str(mode.to_owned())),
-            ("pipeline_depth", depth.to_value()),
             ("use_cache", self.use_cache.to_value()),
             (
                 "delta_base",
@@ -217,19 +173,10 @@ impl Serialize for JobOptions {
     }
 }
 
+/// Fields this version does not know are ignored: older clients still
+/// send the retired engine-selection and side-minimization fields.
 impl Deserialize for JobOptions {
     fn from_value(value: &Value) -> Result<JobOptions, serde::Error> {
-        let depth: usize = serde::field(value, "pipeline_depth")?;
-        let ingest = match serde::field::<String>(value, "ingest")?.as_str() {
-            "pipelined" => IngestMode::Pipelined { depth },
-            "serial" => IngestMode::Serial,
-            "materialized" => IngestMode::Materialized,
-            other => {
-                return Err(serde::Error::custom(format!(
-                    "unknown ingest mode `{other}`"
-                )))
-            }
-        };
         Ok(JobOptions {
             witness: crate::counterexample::WitnessLimits {
                 max_paths: serde::field(value, "max_paths")?,
@@ -237,8 +184,6 @@ impl Deserialize for JobOptions {
             },
             list_paths: serde::field(value, "list_paths")?,
             dedup: serde::field(value, "dedup")?,
-            minimize_sides: serde::field(value, "minimize_sides")?,
-            ingest,
             use_cache: serde::field(value, "use_cache")?,
             // absent (pre-delta clients) and null both mean "no base"
             delta_base: match value.get("delta_base") {
@@ -279,10 +224,10 @@ enum SourceKind<'a> {
 ///
 /// A source is either a byte stream ([`LabeledSource::new`]) or a
 /// memory-mapped file ([`LabeledSource::mapped`]). Mapped RSNB
-/// containers are framed in place by the pipelined engine — record
-/// spans borrow the mapping instead of being copied — and every other
-/// mode reads the mapping through a stream adapter, so the report bytes
-/// are identical either way (`docs/INGEST.md`).
+/// containers are framed in place by the engine — record spans borrow
+/// the mapping instead of being copied — and delta documents read the
+/// mapping through a stream adapter, so the report bytes are identical
+/// either way (`docs/INGEST.md`).
 pub struct LabeledSource<'a> {
     source: SourceKind<'a>,
     label: String,
@@ -322,22 +267,23 @@ impl<'a> LabeledSource<'a> {
         }
     }
 
-    /// Turn the source into a plain byte stream plus its label, for the
-    /// modes that parse rather than frame (serial, materialized,
-    /// deltas). Mapped sources are read through [`MmapReader`].
-    fn into_stream(self) -> (Box<dyn Read + Send + 'a>, String) {
+    /// Turn the source into a plain byte stream, for delta documents
+    /// (parsed whole rather than framed). Mapped sources are read
+    /// through [`MmapReader`].
+    fn into_stream(self) -> Box<dyn Read + Send + 'a> {
         match self.source {
-            SourceKind::Stream(reader) => (reader, self.label),
-            SourceKind::Mapped(map) => (Box::new(MmapReader::new(Arc::new(map))), self.label),
+            SourceKind::Stream(reader) => reader,
+            SourceKind::Mapped(map) => Box::new(MmapReader::new(Arc::new(map))),
         }
     }
 }
 
-/// A job's snapshot input: an already-aligned pair, or two labelled
-/// streams to ingest per [`JobOptions::ingest`].
+/// A job's snapshot input: an already-aligned pair, two labelled
+/// snapshot streams, or two delta documents.
 pub enum JobInput<'a> {
     /// An aligned in-memory pair (tests, the simulator, callers that
-    /// already materialized).
+    /// already materialized). Its FECs enter the engine decoded; a pair
+    /// job never becomes a delta base.
     Pair(&'a SnapshotPair),
     /// Two raw snapshot streams, aligned during ingest.
     Streams {
@@ -522,8 +468,8 @@ pub struct CheckSession {
     memo: FstMemo,
     config: SessionConfig,
     jobs_run: AtomicUsize,
-    /// The last K pipeline-ingested pairs' raw records and snapshot
-    /// epochs, newest first (populated only when
+    /// The last K stream- or delta-ingested pairs' raw records and
+    /// snapshot epochs, newest first (populated only when
     /// [`SessionConfig::retain_bases`] > 0).
     retained: RetentionSlot,
 }
@@ -593,7 +539,7 @@ impl CheckSession {
     }
 
     /// The snapshot epoch of the newest retained base pair, if
-    /// [`SessionConfig::retain_bases`] > 0 and a pipelined job has
+    /// [`SessionConfig::retain_bases`] > 0 and a stream or delta job has
     /// completed. A [`JobInput::Deltas`] job may target this or any
     /// other epoch in [`CheckSession::retained_epochs`].
     pub fn base_epoch(&self) -> Option<SnapshotEpoch> {
@@ -626,8 +572,8 @@ impl CheckSession {
             .is_some()
     }
 
-    /// Run one check job. The report is byte-identical across ingest
-    /// modes and across warm/cold sessions; errors carry the input's
+    /// Run one check job. The report is byte-identical across input
+    /// kinds and across warm/cold sessions; errors carry the input's
     /// source label, entry index, and byte offset.
     ///
     /// Per-job failures are contained here: a panic inside the engine
@@ -680,11 +626,6 @@ impl CheckSession {
             threads: self.config.threads,
             list_paths: job.options.list_paths,
             dedup: job.options.dedup,
-            minimize_sides: job.options.minimize_sides,
-            pipeline_depth: match job.options.ingest {
-                IngestMode::Pipelined { depth } => depth,
-                _ => 0,
-            },
         };
         let mut checker = Checker::new(&self.program, &self.db)
             .with_options(options)
@@ -695,9 +636,9 @@ impl CheckSession {
                 checker = checker.with_cache(store);
             }
         }
-        if self.config.retain_bases > 0 {
-            // only the pipelined engine captures records, so the set
-            // tracks the last K pipelined (full or delta) ingests
+        // a decoded pair has no record spans to replay, so only stream
+        // and delta jobs become delta bases
+        if self.config.retain_bases > 0 && !matches!(job.input, JobInput::Pair(_)) {
             checker = checker.with_retention(&self.retained);
         }
         match job.input {
@@ -705,28 +646,9 @@ impl CheckSession {
             JobInput::Deltas { pre, post } => {
                 self.run_delta(&checker, pre, post, job.options.delta_base)
             }
-            JobInput::Streams { pre, post } => match job.options.ingest {
-                IngestMode::Pipelined { .. } => {
-                    checker.check_pipelined(pre.into_framer(), post.into_framer())
-                }
-                IngestMode::Serial => {
-                    let (pre, pre_label) = pre.into_stream();
-                    let (post, post_label) = post.into_stream();
-                    checker.check_stream(SnapshotPair::align_streaming(
-                        SnapshotReader::new(pre).with_label(pre_label),
-                        SnapshotReader::new(post).with_label(post_label),
-                    ))
-                }
-                IngestMode::Materialized => {
-                    let collect = |source: LabeledSource<'_>| -> Result<Snapshot, SnapshotError> {
-                        let (reader, label) = source.into_stream();
-                        SnapshotReader::new(reader).with_label(label).collect()
-                    };
-                    let pre = collect(pre)?;
-                    let post = collect(post)?;
-                    Ok(checker.check(&SnapshotPair::align(&pre, &post)))
-                }
-            },
+            JobInput::Streams { pre, post } => {
+                checker.check_pipelined(pre.into_framer(), post.into_framer())
+            }
         }
     }
 
@@ -790,8 +712,8 @@ impl CheckSession {
             })?),
             None => None,
         };
-        let pre_delta = SnapshotDelta::from_reader(pre.into_stream().0, &pre_label)?;
-        let post_delta = SnapshotDelta::from_reader(post.into_stream().0, &post_label)?;
+        let pre_delta = SnapshotDelta::from_reader(pre.into_stream(), &pre_label)?;
+        let post_delta = SnapshotDelta::from_reader(post.into_stream(), &post_label)?;
         if base.is_none() {
             // no declared base: the documents name their own epoch
             base = Some(find(pre_delta.base.as_u128()).ok_or_else(|| {
@@ -913,7 +835,7 @@ fn delta_items(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rela_net::{linear_graph, Device, FlowSpec};
+    use rela_net::{linear_graph, BinarySnapshotWriter, Device, FlowSpec, Snapshot};
 
     fn db() -> LocationDb {
         let mut db = LocationDb::new();
@@ -963,40 +885,40 @@ mod tests {
     }
 
     #[test]
-    fn all_ingest_modes_agree_with_the_pair_path() {
+    fn stream_jobs_in_both_containers_agree_with_the_pair_job() {
         let s = session();
         let pair = pair();
-        let json = {
-            let mut pre = Snapshot::new();
-            let mut post = Snapshot::new();
-            for fec in &pair.fecs {
-                pre.insert(fec.flow.clone(), fec.pre.clone());
-                post.insert(fec.flow.clone(), fec.post.clone());
-            }
-            (pre.to_json().unwrap(), post.to_json().unwrap())
-        };
-        let baseline = s.run(JobSpec::pair(&pair)).unwrap();
-        for ingest in [
-            IngestMode::Pipelined { depth: 0 },
-            IngestMode::Serial,
-            IngestMode::Materialized,
-        ] {
-            let job = JobSpec::streams(
-                LabeledSource::new(json.0.as_bytes(), "pre.json"),
-                LabeledSource::new(json.1.as_bytes(), "post.json"),
-            )
-            .with_options(JobOptions {
-                ingest,
-                ..JobOptions::default()
-            });
-            let report = s.run(job).unwrap();
-            assert_eq!(
-                verdict_bytes(&report),
-                verdict_bytes(&baseline),
-                "{ingest:?} diverged"
-            );
+        let (mut pre, mut post) = (Snapshot::new(), Snapshot::new());
+        for fec in &pair.fecs {
+            pre.insert(fec.flow.clone(), fec.pre.clone());
+            post.insert(fec.flow.clone(), fec.post.clone());
         }
-        assert_eq!(s.jobs_run(), 4);
+        let rsnb = |snap: &Snapshot| {
+            let mut writer = BinarySnapshotWriter::new(Vec::new()).unwrap();
+            for (flow, graph) in snap.iter() {
+                writer.write(flow, graph).unwrap();
+            }
+            writer.finish().unwrap()
+        };
+        let docs = [
+            (
+                pre.to_json().unwrap().into_bytes(),
+                post.to_json().unwrap().into_bytes(),
+            ),
+            (rsnb(&pre), rsnb(&post)),
+        ];
+        let baseline = s.run(JobSpec::pair(&pair)).unwrap();
+        assert_eq!(baseline.stats.graph_decodes, 0);
+        for (pre_doc, post_doc) in &docs {
+            let report = s
+                .run(JobSpec::streams(
+                    LabeledSource::new(&pre_doc[..], "pre"),
+                    LabeledSource::new(&post_doc[..], "post"),
+                ))
+                .unwrap();
+            assert_eq!(verdict_bytes(&report), verdict_bytes(&baseline));
+        }
+        assert_eq!(s.jobs_run(), 3);
     }
 
     #[test]
@@ -1035,8 +957,6 @@ mod tests {
             },
             list_paths: 2,
             dedup: false,
-            minimize_sides: true,
-            ingest: IngestMode::Pipelined { depth: 5 },
             use_cache: false,
             delta_base: Some(0xdead_beef),
             deadline_ms: Some(1234),
@@ -1044,14 +964,19 @@ mod tests {
         let json = serde_json::to_string(&opts.to_value()).unwrap();
         let back = JobOptions::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(back, opts);
-        for ingest in [IngestMode::Serial, IngestMode::Materialized] {
-            let opts = JobOptions {
-                ingest,
-                ..JobOptions::default()
-            };
-            let back = JobOptions::from_value(&opts.to_value()).unwrap();
-            assert_eq!(back, opts);
-        }
+    }
+
+    #[test]
+    fn job_options_ignore_fields_they_do_not_know() {
+        // an older client's payload carries retired knobs, such as the
+        // engine selector `ingest`, next to the current ones
+        let old = r#"{"max_paths": 7, "max_len": 99, "list_paths": 2, "dedup": true,
+                      "ingest": "serial", "retired_depth": 3, "retired_flag": true,
+                      "use_cache": true, "delta_base": null, "deadline_ms": null}"#;
+        let opts = JobOptions::from_value(&serde_json::from_str(old).unwrap()).unwrap();
+        assert_eq!(opts.list_paths, 2);
+        let wire = serde_json::to_string(&opts.to_value()).unwrap();
+        assert!(!wire.contains("ingest"), "{wire}");
     }
 
     fn retaining_session() -> CheckSession {
@@ -1330,6 +1255,18 @@ mod tests {
             s.retained_epochs().len(),
             1,
             "the byte budget evicts everything but the newest"
+        );
+    }
+
+    #[test]
+    fn pair_jobs_never_become_delta_bases() {
+        let s = retaining_session();
+        let pair = pair();
+        s.run(JobSpec::pair(&pair)).unwrap();
+        assert_eq!(
+            s.base_epoch(),
+            None,
+            "a decoded pair has no spans to replay"
         );
     }
 

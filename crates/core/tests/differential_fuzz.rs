@@ -4,16 +4,17 @@
 //! Per seed, each adversarial generator family (`rela_sim::adversarial`)
 //! draws a scenario — failover drill, rolling maintenance, policy
 //! migration, ECMP churn, class skew — and every iteration of it is
-//! checked with the `nochange` spec across the full ingest matrix:
-//! { JSON, RSNB } × { Materialized, Serial, Pipelined }, plus chained
-//! delta replay against a retained base. Two properties must hold:
+//! checked with the `nochange` spec across the input matrix: the
+//! in-memory pair, { JSON, RSNB } streams × { 1, 4 } worker threads,
+//! and chained delta replay against a retained base. Two properties
+//! must hold:
 //!
 //! 1. **Oracle agreement**: the checker's violated-flow set equals the
 //!    flow set the exact path diff (`rela_baseline::path_diff`) flags at
 //!    the same granularity — an independent per-FEC implementation with
 //!    none of the dedup/pipelining/delta machinery under test.
-//! 2. **Mode identity**: verdict bytes are identical across every
-//!    container and ingest mode.
+//! 2. **Input identity**: verdict bytes are identical across every
+//!    input kind, container, and thread count.
 //!
 //! On failure the harness minimizes the snapshot pair (greedy flow-set
 //! reduction), writes a self-contained repro bundle under
@@ -24,9 +25,7 @@
 //! replays a bundle by path. See `docs/FUZZING.md`.
 
 use rela_baseline::oracle::{self, ChangedFlows, Disagreement};
-use rela_core::{
-    CheckReport, CheckSession, IngestMode, JobOptions, JobSpec, LabeledSource, SessionConfig,
-};
+use rela_core::{CheckReport, CheckSession, JobOptions, JobSpec, LabeledSource, SessionConfig};
 use rela_net::{
     BinarySnapshotWriter, FlowSpec, Granularity, LocationDb, Snapshot, SnapshotFramer, SnapshotPair,
 };
@@ -95,15 +94,11 @@ fn open_session(
     .expect("nochange spec compiles against the scenario db")
 }
 
-fn stream_job<'a>(pre: &'a [u8], post: &'a [u8], ingest: IngestMode) -> JobSpec<'a> {
+fn stream_job<'a>(pre: &'a [u8], post: &'a [u8]) -> JobSpec<'a> {
     JobSpec::streams(
         LabeledSource::new(pre, "pre"),
         LabeledSource::new(post, "post"),
     )
-    .with_options(JobOptions {
-        ingest,
-        ..JobOptions::default()
-    })
 }
 
 fn granularity_name(granularity: Granularity) -> &'static str {
@@ -138,9 +133,9 @@ fn subset(snapshot: &Snapshot, keep: &ChangedFlows) -> Snapshot {
     out
 }
 
-/// Does the (materialized, in-memory) pair still disagree with the
-/// oracle? The minimizer's probe — one mode is enough, because mode
-/// identity is asserted separately before minimization ever runs.
+/// Does the in-memory pair still disagree with the oracle? The
+/// minimizer's probe — one input kind is enough, because input identity
+/// is asserted separately before minimization ever runs.
 fn probe_disagreement(
     spec: &str,
     db: &LocationDb,
@@ -238,7 +233,7 @@ fn write_bundle(ctx: &FailureContext<'_>) -> PathBuf {
         write("delta_pre.bin", pre_doc);
         write("delta_post.bin", post_doc);
     }
-    // minimize only oracle disagreements; mode-identity failures keep
+    // minimize only oracle disagreements; input-identity failures keep
     // the full pair (the divergence may live in dedup grouping)
     if probe_disagreement(
         &ctx.scenario.spec,
@@ -297,17 +292,13 @@ fn fail(ctx: FailureContext<'_>) -> ! {
     )
 }
 
-/// Check one scenario end to end: every iteration across the full
-/// container × ingest-mode matrix, then chained delta replay.
+/// Check one scenario end to end: every iteration as an in-memory pair
+/// and across the container × thread-count matrix, then chained delta
+/// replay.
 fn run_scenario(sc: &Scenario) {
     let db = &sc.wan.topology.db;
     let pre_json = sc.iterations.pre.to_json().unwrap();
     let pre_rsnb = pack(&pre_json);
-    let modes = [
-        IngestMode::Materialized,
-        IngestMode::Serial,
-        IngestMode::Pipelined { depth: 2 },
-    ];
     let mut oracles = Vec::with_capacity(sc.iteration_count());
     for (ix, post) in sc.iterations.posts.iter().enumerate() {
         let pair = SnapshotPair::align(&sc.iterations.pre, post);
@@ -318,52 +309,60 @@ fn run_scenario(sc: &Scenario) {
             ("json", pre_json.as_bytes(), post_json.as_bytes()),
             ("rsnb", &pre_rsnb, &post_rsnb),
         ];
-        let mut reference: Option<(String, String)> = None;
+        let mut cells = vec![(
+            "pair".to_owned(),
+            open_session(&sc.spec, db, sc.granularity, 1, false).run(JobSpec::pair(&pair)),
+        )];
         for (container, pre_bytes, post_bytes) in containers {
-            for mode in modes {
-                let stage = format!("{container}×{mode:?}");
-                let report = open_session(&sc.spec, db, sc.granularity, 1, false)
-                    .run(stream_job(pre_bytes, post_bytes, mode))
-                    .unwrap_or_else(|e| {
+            for threads in [1, 4] {
+                cells.push((
+                    format!("{container}×{threads}-threads"),
+                    open_session(&sc.spec, db, sc.granularity, threads, false)
+                        .run(stream_job(pre_bytes, post_bytes)),
+                ));
+            }
+        }
+        let mut reference: Option<(String, String)> = None;
+        for (stage, outcome) in cells {
+            let report = outcome.unwrap_or_else(|e| {
+                fail(FailureContext {
+                    scenario: sc,
+                    iteration: ix,
+                    stage: &stage,
+                    detail: format!("ingest error on a well-formed pair: {e}"),
+                    pre: &sc.iterations.pre,
+                    post,
+                    delta_docs: None,
+                })
+            });
+            if let Err(disagreement) = oracle::compare(&want, &flagged(&report)) {
+                fail(FailureContext {
+                    scenario: sc,
+                    iteration: ix,
+                    stage: &stage,
+                    detail: disagreement.to_string(),
+                    pre: &sc.iterations.pre,
+                    post,
+                    delta_docs: None,
+                });
+            }
+            let verdict = verdict_bytes(&report);
+            match &reference {
+                None => reference = Some((stage.clone(), verdict)),
+                Some((ref_stage, ref_verdict)) => {
+                    if verdict != *ref_verdict {
                         fail(FailureContext {
                             scenario: sc,
                             iteration: ix,
                             stage: &stage,
-                            detail: format!("ingest error on a well-formed pair: {e}"),
+                            detail: format!(
+                                "verdict bytes diverged from {ref_stage}:\n--- {ref_stage}\n\
+                                 {ref_verdict}\n--- {stage}\n{verdict}"
+                            ),
                             pre: &sc.iterations.pre,
                             post,
                             delta_docs: None,
-                        })
-                    });
-                if let Err(disagreement) = oracle::compare(&want, &flagged(&report)) {
-                    fail(FailureContext {
-                        scenario: sc,
-                        iteration: ix,
-                        stage: &stage,
-                        detail: disagreement.to_string(),
-                        pre: &sc.iterations.pre,
-                        post,
-                        delta_docs: None,
-                    });
-                }
-                let verdict = verdict_bytes(&report);
-                match &reference {
-                    None => reference = Some((stage.clone(), verdict)),
-                    Some((ref_stage, ref_verdict)) => {
-                        if verdict != *ref_verdict {
-                            fail(FailureContext {
-                                scenario: sc,
-                                iteration: ix,
-                                stage: &stage,
-                                detail: format!(
-                                    "verdict bytes diverged from {ref_stage}:\n--- {ref_stage}\n\
-                                     {ref_verdict}\n--- {stage}\n{verdict}"
-                                ),
-                                pre: &sc.iterations.pre,
-                                post,
-                                delta_docs: None,
-                            });
-                        }
+                        });
                     }
                 }
             }
@@ -377,11 +376,7 @@ fn run_scenario(sc: &Scenario) {
     let session = open_session(&sc.spec, db, sc.granularity, 1, true);
     let post0_json = sc.iterations.posts[0].to_json().unwrap();
     session
-        .run(stream_job(
-            pre_json.as_bytes(),
-            post0_json.as_bytes(),
-            IngestMode::default(),
-        ))
+        .run(stream_job(pre_json.as_bytes(), post0_json.as_bytes()))
         .expect("seeding the retained base succeeds");
     assert_eq!(
         session.base_epoch(),

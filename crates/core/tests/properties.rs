@@ -356,7 +356,7 @@ proptest! {
 // ---- behavior-class dedup ------------------------------------------------
 
 /// The dedup-and-memoize engine must be invisible: dedup-on, dedup-off,
-/// serial, and parallel checkers produce byte-identical reports on
+/// single-threaded, and parallel checkers produce byte-identical reports on
 /// randomized snapshot pairs with heavily duplicated forwarding graphs.
 mod dedup {
     use super::*;
@@ -526,16 +526,16 @@ mod dedup {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Pipelined, streamed, and materialized checks produce
-        /// byte-identical reports on randomized snapshot pairs, across
-        /// pipeline depths 1/2/8 and thread counts — the tentpole
-        /// invariant of the decode/fingerprint/decide pipeline.
+        /// In-memory pairs and snapshot streams — in file order and in
+        /// reversed arrival order — produce byte-identical reports on
+        /// randomized snapshot pairs at 1, 2, and 4 threads: the
+        /// invariant of the one decode/fingerprint/decide engine.
         #[test]
-        fn pipeline_depth_and_threads_never_change_the_report(
+        fn input_order_and_threads_never_change_the_report(
             bases in proptest::collection::vec(graph_strategy(), 1..4),
             picks in proptest::collection::vec((0..4usize, 0..4usize), 1..13),
         ) {
-            use rela_net::{SnapshotFramer, SnapshotReader};
+            use rela_net::{SnapshotFramer, SnapshotWriter};
             let graphs: Vec<ForwardingGraph> = bases
                 .iter()
                 .map(|(walk, parallel, dropped)| build_graph(walk, *parallel, *dropped))
@@ -548,8 +548,25 @@ mod dedup {
                 post.insert(flow, graphs[q % graphs.len()].clone());
             }
             let pair = SnapshotPair::align(&pre, &post);
-            let pre_json = pre.to_json().expect("pre serializes");
-            let post_json = post.to_json().expect("post serializes");
+            let reversed = SnapshotPair {
+                fecs: pair.fecs.iter().rev().cloned().collect(),
+            };
+            let reversed_json = |snap: &Snapshot| {
+                let records: Vec<_> = snap.iter().collect();
+                let mut writer = SnapshotWriter::new(Vec::new()).expect("header");
+                for (flow, graph) in records.into_iter().rev() {
+                    writer.write(flow, graph).expect("record");
+                }
+                String::from_utf8(writer.finish().expect("trailer")).expect("utf-8")
+            };
+            let streams = [
+                (
+                    "file order",
+                    pre.to_json().expect("pre serializes"),
+                    post.to_json().expect("post serializes"),
+                ),
+                ("reversed", reversed_json(&pre), reversed_json(&post)),
+            ];
 
             let db = db();
             let program = parse_program(SPEC).expect("spec parses");
@@ -557,22 +574,19 @@ mod dedup {
                 compile_program(&program, &db, Granularity::Group).expect("spec compiles");
             let reference = report_bytes(&Checker::new(&compiled, &db).check(&pair));
 
-            let streamed = Checker::new(&compiled, &db)
-                .check_stream(SnapshotPair::align_streaming(
-                    SnapshotReader::new(pre_json.as_bytes()),
-                    SnapshotReader::new(post_json.as_bytes()),
-                ))
-                .expect("clean streams");
-            prop_assert_eq!(report_bytes(&streamed), reference.clone(), "streamed");
-
-            for depth in [1usize, 2, 8] {
-                for threads in [1usize, 4] {
-                    let piped = Checker::new(&compiled, &db)
-                        .with_options(CheckOptions {
-                            threads,
-                            pipeline_depth: depth,
-                            ..CheckOptions::default()
-                        })
+            for threads in [1usize, 2, 4] {
+                let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+                    threads,
+                    ..CheckOptions::default()
+                });
+                prop_assert_eq!(
+                    report_bytes(&checker.check(&reversed)),
+                    reference.clone(),
+                    "reversed pair, threads {}",
+                    threads
+                );
+                for (order, pre_json, post_json) in &streams {
+                    let piped = checker
                         .check_pipelined(
                             SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
                             SnapshotFramer::new(post_json.as_bytes(), "post.json"),
@@ -581,8 +595,8 @@ mod dedup {
                     prop_assert_eq!(
                         report_bytes(&piped),
                         reference.clone(),
-                        "depth {} threads {}",
-                        depth,
+                        "{} streams, threads {}",
+                        order,
                         threads
                     );
                 }
@@ -618,11 +632,9 @@ mod dedup {
             let program = parse_program(SPEC).expect("spec parses");
             let compiled =
                 compile_program(&program, &db, Granularity::Group).expect("spec compiles");
-            let serial_err = Checker::new(&compiled, &db)
-                .check_stream(SnapshotPair::align_streaming(
-                    SnapshotReader::new(pre_json.as_bytes()).with_label("pre.json"),
-                    SnapshotReader::new(cut.as_bytes()).with_label("post.json"),
-                ))
+            let serial_err = SnapshotReader::new(cut.as_bytes())
+                .with_label("post.json")
+                .collect::<Result<Vec<_>, _>>()
                 .expect_err("truncated post stream");
             for threads in [1usize, 4] {
                 let piped_err = Checker::new(&compiled, &db)

@@ -7,16 +7,27 @@
 //! engine's decide path surfaces as a typed [`JobError::Panicked`] on
 //! *that job only* — the session survives and the next job's report is
 //! byte-identical to an unfaulted run.
+//!
+//! Every test holds [`PLAN_LOCK`] for its whole body, unfaulted
+//! baselines included: an engine run outside the lock would consume
+//! (or trip over) a plan another test thread installed.
 
 use rela_core::{CheckReport, CheckSession, JobError, JobSpec, LabeledSource, SessionConfig};
 use rela_net::faultio::{self, FaultPlan};
 use rela_net::{linear_graph, Device, FlowSpec, Granularity, LocationDb, Snapshot};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_plan(spec: &str, body: impl FnOnce()) {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+/// Take the process-wide fault-plan lock for one test's whole body.
+fn plan_lock() -> MutexGuard<'static, ()> {
+    PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run `body` with `spec` installed as the global plan; the caller's
+/// guard proves the lock is held. Always clears the plan afterwards,
+/// even when `body` panics.
+fn with_plan(_held: &MutexGuard<'static, ()>, spec: &str, body: impl FnOnce()) {
     faultio::install(FaultPlan::parse(spec).expect("valid fault spec"));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     faultio::clear();
@@ -79,6 +90,7 @@ fn verdict_bytes(report: &CheckReport) -> String {
 
 #[test]
 fn an_injected_decide_panic_is_contained_and_the_session_survives() {
+    let lock = plan_lock();
     let docs = docs();
     let baseline = {
         let clean = session(1);
@@ -86,7 +98,7 @@ fn an_injected_decide_panic_is_contained_and_the_session_survives() {
     };
 
     let s = session(1);
-    with_plan("panic=decide@1", || {
+    with_plan(&lock, "panic=decide@1", || {
         let err = run(&s, &docs).expect_err("the injected panic must fail the job");
         match &err {
             JobError::Panicked { payload } => {
@@ -107,11 +119,20 @@ fn an_injected_decide_panic_is_contained_and_the_session_survives() {
 
 #[test]
 fn a_panic_on_a_parallel_worker_is_contained_too() {
+    let lock = plan_lock();
     let docs = docs();
     let s = session(2);
-    with_plan("panic=decide@1", || {
+    with_plan(&lock, "panic=decide@1", || {
         let err = run(&s, &docs).expect_err("the injected panic must fail the job");
-        assert!(matches!(err, JobError::Panicked { .. }), "{err}");
+        // the payload survives the worker join: the operator sees the
+        // injected cause, not an opaque re-panic
+        match &err {
+            JobError::Panicked { payload } => {
+                assert!(payload.contains("injected fault"), "{payload}");
+                assert!(payload.contains("decide"), "{payload}");
+            }
+            other => panic!("expected Panicked, got {other}"),
+        }
         let report = run(&s, &docs).expect("the session must survive a worker panic");
         assert!(report.is_compliant());
     });
@@ -121,6 +142,7 @@ fn a_panic_on_a_parallel_worker_is_contained_too() {
 fn faulted_input_streams_replay_byte_identically_across_seeds() {
     // read faults (short reads, EINTR, latency) on the snapshot streams
     // must never change a verdict: the framers retry and reassemble
+    let _lock = plan_lock();
     let docs = docs();
     let baseline = {
         let s = session(1);

@@ -219,7 +219,7 @@ impl fmt::Debug for MmapSource {
 
 /// A [`Read`] adapter over a shared [`MmapSource`], for the ingest
 /// paths that want a stream rather than a slice (JSON content inside a
-/// mapped file, serial/materialized modes). Cloning the `Arc` is the
+/// mapped file, mapped delta documents). Cloning the `Arc` is the
 /// only cost; reads copy out of the mapping like any buffered reader
 /// would.
 pub struct MmapReader {

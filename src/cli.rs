@@ -15,7 +15,7 @@
 
 use rela_baseline::{path_diff, DiffOptions};
 
-use rela_core::{CheckSession, IngestMode, JobOptions, JobSpec, LabeledSource, SessionConfig};
+use rela_core::{CheckSession, JobOptions, JobSpec, LabeledSource, SessionConfig};
 use rela_net::{
     diff_side, pair_epoch, scan_side, snapshot_source, write_delta, BinarySnapshotWriter,
     Granularity, LocationDb, MmapSource, SideScan, Snapshot, SnapshotEpoch, SnapshotFramer,
@@ -70,9 +70,9 @@ pub enum Command {
         granularity: Granularity,
         /// Worker threads (0 = auto).
         threads: usize,
-        /// Per-job options (`--no-dedup`, `--no-cache`, `--no-stream`,
-        /// `--pipeline-depth` all fold in here) — the same struct a
-        /// `rela submit` client serializes over the wire.
+        /// Per-job options (`--no-dedup`, `--no-cache`, `--deadline-ms`
+        /// all fold in here) — the same struct a `rela submit` client
+        /// serializes over the wire.
         job: JobOptions,
         /// Persistent verdict-cache directory (`--cache-dir`); `None`
         /// checks from scratch.
@@ -247,15 +247,13 @@ rela — relational network verification (SIGCOMM 2024 reproduction)
 USAGE:
   rela check --spec FILE --db FILE --pre FILE --post FILE
              [--granularity group|device|interface] [--threads N] [--no-dedup]
-             [--cache-dir DIR] [--no-cache] [--cache-stats] [--no-stream]
-             [--pipeline-depth N] [--deadline-ms N]
+             [--cache-dir DIR] [--no-cache] [--cache-stats] [--deadline-ms N]
   rela serve --socket PATH --spec FILE --db FILE
              [--granularity group|device|interface] [--threads N]
              [--cache-dir DIR] [--retain-epochs K] [--retain-bytes N]
   rela submit --socket PATH --pre FILE --post FILE
              [--delta-base EPOCH --delta-pre FILE --delta-post FILE]
-             [--no-dedup] [--no-cache] [--cache-stats] [--no-stream]
-             [--pipeline-depth N] [--deadline-ms N]
+             [--no-dedup] [--no-cache] [--cache-stats] [--deadline-ms N]
              [--retries N] [--retry-delay-ms N]
   rela submit --socket PATH --ping | --shutdown
   rela report --spec FILE --db FILE --pre FILE --post FILE [--json | --csv]
@@ -279,14 +277,12 @@ iteration N+1 of a change only re-decides classes whose behavior moved
 (opening the store also sweeps stale epochs: see `rela cache gc`).
 --no-cache skips the cache for one run; --cache-stats prints warm-hit
 and store counters after the report.
-check ingests the snapshot files through a pipeline by default: a reader
-thread frames raw records, a worker pool decodes and fingerprints them,
-and deciding begins while records still arrive — only one forwarding
-graph per behavior class is ever held in memory (docs/SNAPSHOT_FORMAT.md
-specifies the wire format; files ending in .gz are gunzipped on the fly).
---pipeline-depth N bounds the records in flight per worker (0 = serial
-streamed ingestion); --no-stream loads both snapshots fully before
-aligning instead.
+check ingests the snapshot files through one pipelined engine: a reader
+thread per file frames raw records, a worker pool decodes and
+fingerprints them, and deciding begins while records still arrive — only
+one forwarding graph per behavior class is ever held in memory
+(docs/SNAPSHOT_FORMAT.md specifies the wire format; files ending in .gz
+are gunzipped on the fly, and RSNB files are memory-mapped).
 serve keeps a compiled spec, location db, verdict store, and FST memo
 resident behind a Unix socket; submit streams a snapshot pair to it and
 prints a report byte-identical to a one-shot check of the same pair —
@@ -356,11 +352,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         }
     }
     // flags that take no value
-    const SWITCHES: [&str; 9] = [
+    const SWITCHES: [&str; 8] = [
         "--no-dedup",
         "--no-cache",
         "--cache-stats",
-        "--no-stream",
         "--ping",
         "--shutdown",
         "--unpack",
@@ -397,28 +392,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             )))
         }
     };
-    // `--no-stream`/`--pipeline-depth`/`--no-dedup`/`--no-cache` all
-    // fold into one JobOptions, shared verbatim between the one-shot
-    // CLI and the serve wire protocol
+    // `--no-dedup`/`--no-cache`/`--deadline-ms` all fold into one
+    // JobOptions, shared verbatim between the one-shot CLI and the serve
+    // wire protocol
     let job_options = |flags: &BTreeMap<String, String>| -> Result<JobOptions, CliError> {
-        let ingest = if flags.contains_key("no-stream") {
-            // materialized ingestion wins over any pipeline depth
-            IngestMode::Materialized
-        } else {
-            match flags.get("pipeline-depth") {
-                None => IngestMode::Pipelined { depth: 0 },
-                Some(raw) => {
-                    let depth: usize = raw
-                        .parse()
-                        .map_err(|_| usage_error(format!("invalid --pipeline-depth `{raw}`")))?;
-                    if depth == 0 {
-                        IngestMode::Serial
-                    } else {
-                        IngestMode::Pipelined { depth }
-                    }
-                }
-            }
-        };
         let deadline_ms = match flags.get("deadline-ms") {
             None => None,
             Some(raw) => Some(
@@ -429,7 +406,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         Ok(JobOptions {
             dedup: !flags.contains_key("no-dedup"),
             use_cache: !flags.contains_key("no-cache"),
-            ingest,
             deadline_ms,
             ..JobOptions::default()
         })
@@ -1418,55 +1394,6 @@ mod tests {
     }
 
     #[test]
-    fn no_stream_switch_parses_and_defaults_on() {
-        let base = &[
-            "check", "--spec", "s.rela", "--db", "db.json", "--pre", "a.json", "--post", "b.json",
-        ];
-        match parse_args(&args(base)).unwrap() {
-            Command::Check { job, .. } => assert_eq!(
-                job.ingest,
-                IngestMode::Pipelined { depth: 0 },
-                "pipelined streaming is the default"
-            ),
-            other => panic!("unexpected {other:?}"),
-        }
-        let mut with_flag: Vec<&str> = base.to_vec();
-        with_flag.push("--no-stream");
-        match parse_args(&args(&with_flag)).unwrap() {
-            Command::Check { job, .. } => assert_eq!(job.ingest, IngestMode::Materialized),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pipeline_depth_flag_parses() {
-        let base = &[
-            "check", "--spec", "s.rela", "--db", "db.json", "--pre", "a.json", "--post", "b.json",
-        ];
-        let mut with_flag: Vec<&str> = base.to_vec();
-        with_flag.extend(["--pipeline-depth", "2"]);
-        match parse_args(&args(&with_flag)).unwrap() {
-            Command::Check { job, .. } => {
-                assert_eq!(job.ingest, IngestMode::Pipelined { depth: 2 })
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let mut serial: Vec<&str> = base.to_vec();
-        serial.extend(["--pipeline-depth", "0"]);
-        match parse_args(&args(&serial)).unwrap() {
-            Command::Check { job, .. } => assert_eq!(
-                job.ingest,
-                IngestMode::Serial,
-                "depth 0 is the serial streamed path"
-            ),
-            other => panic!("unexpected {other:?}"),
-        }
-        let mut bad: Vec<&str> = base.to_vec();
-        bad.extend(["--pipeline-depth", "many"]);
-        assert_eq!(parse_args(&args(&bad)).unwrap_err().code, 2);
-    }
-
-    #[test]
     fn serve_and_submit_commands_parse() {
         match parse_args(&args(&[
             "serve",
@@ -1887,12 +1814,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Pipelined (default), serial streamed (`--pipeline-depth 0`), and
-    /// materialized (`--no-stream`) runs over the same files — plus a
-    /// gzipped copy through the pipelined path — produce byte-identical
-    /// reports and the same exit code.
+    /// The same snapshot pair as JSON files, as RSNB files (mapped), and
+    /// as gzipped JSON, at one and two worker threads, produce
+    /// byte-identical reports and the same exit code.
     #[test]
-    fn pipelined_streamed_materialized_and_gz_checks_agree() {
+    fn json_rsnb_and_gz_checks_agree_at_any_thread_count() {
         use flate2::{write::GzEncoder, Compression};
         use std::io::Write as _;
         let dir = std::env::temp_dir().join(format!("rela-pipe-{}", std::process::id()));
@@ -1900,26 +1826,29 @@ mod tests {
         let mut sink = Vec::new();
         run(&Command::Demo { out: dir.clone() }, &mut sink).unwrap();
 
-        // gzip the snapshot pair
+        // gzip the snapshot pair, and pack it into the binary container
         for name in ["pre.json", "post_v2.json"] {
             let text = std::fs::read(dir.join(name)).unwrap();
             let mut enc = GzEncoder::new(Vec::new(), Compression::default());
             enc.write_all(&text).unwrap();
             std::fs::write(dir.join(format!("{name}.gz")), enc.finish().unwrap()).unwrap();
+            let pack = Command::SnapshotPack {
+                input: dir.join(name),
+                output: dir.join(format!("{name}.rsnb")),
+                unpack: false,
+            };
+            run(&pack, &mut Vec::new()).unwrap();
         }
 
-        let check = |pre: &str, post: &str, ingest: IngestMode| {
+        let check = |pre: &str, post: &str, threads: usize| {
             let cmd = Command::Check {
                 spec: dir.join("change.rela"),
                 db: dir.join("db.json"),
                 pre: dir.join(pre),
                 post: dir.join(post),
                 granularity: Granularity::Group,
-                threads: 2,
-                job: JobOptions {
-                    ingest,
-                    ..JobOptions::default()
-                },
+                threads,
+                job: JobOptions::default(),
                 cache_dir: None,
                 cache_stats: false,
             };
@@ -1933,22 +1862,19 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let (code_p, piped) = check(
-            "pre.json",
-            "post_v2.json",
-            IngestMode::Pipelined { depth: 0 },
-        );
-        let (code_s, serial) = check("pre.json", "post_v2.json", IngestMode::Serial);
-        let (code_m, materialized) = check("pre.json", "post_v2.json", IngestMode::Materialized);
-        let (code_z, gz) = check(
-            "pre.json.gz",
-            "post_v2.json.gz",
-            IngestMode::Pipelined { depth: 2 },
-        );
-        assert_eq!([code_p, code_s, code_m, code_z], [1, 1, 1, 1]);
-        assert_eq!(verdicts(&piped), verdicts(&serial));
-        assert_eq!(verdicts(&piped), verdicts(&materialized));
-        assert_eq!(verdicts(&piped), verdicts(&gz));
+        let (code, json) = check("pre.json", "post_v2.json", 1);
+        assert_eq!(code, 1);
+        for threads in [1, 2] {
+            for (pre, post) in [
+                ("pre.json", "post_v2.json"),
+                ("pre.json.rsnb", "post_v2.json.rsnb"),
+                ("pre.json.gz", "post_v2.json.gz"),
+            ] {
+                let (other_code, other) = check(pre, post, threads);
+                assert_eq!(other_code, code, "{pre} threads {threads}");
+                assert_eq!(verdicts(&other), verdicts(&json), "{pre} threads {threads}");
+            }
+        }
 
         // a malformed gz stream is an input error naming the file
         let gz_path = dir.join("pre.json.gz");
@@ -1972,8 +1898,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Streamed (default) and `--no-stream` runs over the same files
-    /// produce byte-identical reports and the same exit code.
+    /// A streamed `check` over the snapshot files and a job over the same
+    /// pair materialized in memory produce byte-identical reports.
     #[test]
     fn streamed_and_materialized_checks_agree() {
         let dir = std::env::temp_dir().join(format!("rela-stream-{}", std::process::id()));
@@ -1981,36 +1907,43 @@ mod tests {
         let mut sink = Vec::new();
         run(&Command::Demo { out: dir.clone() }, &mut sink).unwrap();
 
-        let check = |ingest: IngestMode| {
-            let cmd = Command::Check {
-                spec: dir.join("change.rela"),
-                db: dir.join("db.json"),
-                pre: dir.join("pre.json"),
-                post: dir.join("post_v2.json"),
-                granularity: Granularity::Group,
-                threads: 1,
-                job: JobOptions {
-                    ingest,
-                    ..JobOptions::default()
-                },
-                cache_dir: None,
-                cache_stats: false,
-            };
-            let mut sink = Vec::new();
-            let code = run(&cmd, &mut sink).unwrap();
-            (code, String::from_utf8(sink).unwrap())
+        let cmd = Command::Check {
+            spec: dir.join("change.rela"),
+            db: dir.join("db.json"),
+            pre: dir.join("pre.json"),
+            post: dir.join("post_v2.json"),
+            granularity: Granularity::Group,
+            threads: 1,
+            job: JobOptions::default(),
+            cache_dir: None,
+            cache_stats: false,
         };
-        let (code_s, streamed) = check(IngestMode::Pipelined { depth: 0 });
-        let (code_m, materialized) = check(IngestMode::Materialized);
-        assert_eq!(code_s, 1);
-        assert_eq!(code_m, 1);
+        let mut sink = Vec::new();
+        assert_eq!(run(&cmd, &mut sink).unwrap(), 1);
+        let streamed = String::from_utf8(sink).unwrap();
+        let session = open_session(
+            &dir.join("change.rela"),
+            &dir.join("db.json"),
+            Granularity::Group,
+            1,
+            false,
+            None,
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let pair = SnapshotPair::align(
+            &load_snapshot(&dir.join("pre.json")).unwrap(),
+            &load_snapshot(&dir.join("post_v2.json")).unwrap(),
+        );
+        let materialized = session.run(JobSpec::pair(&pair)).unwrap();
+        assert!(!materialized.is_compliant());
         let verdicts = |text: &str| {
             text.lines()
                 .filter(|l| !l.starts_with("checked "))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(verdicts(&streamed), verdicts(&materialized));
+        assert_eq!(verdicts(&streamed), verdicts(&materialized.to_string()));
 
         // a malformed snapshot is an input error (2) whose message names
         // the failing entry and the offending file

@@ -1,15 +1,16 @@
-//! The ingest-identity property of the delta-first pipeline: a full
-//! JSON snapshot, its binary packing, and a delta against a retained
-//! base are three encodings of the same pair, so every combination of
-//! container × ingest mode × pipeline depth must produce byte-identical
+//! The ingest-identity property of the one check engine: an in-memory
+//! pair, a full JSON snapshot, its binary packing, and a delta against
+//! a retained base are encodings of the same records, so every
+//! combination of container × transport (buffered or memory-mapped) ×
+//! record arrival order × thread count must produce byte-identical
 //! reports — and a corrupted byte stream must fail with the same
-//! labelled, offset-addressed error no matter which engine path hits
-//! it first.
+//! labelled, offset-addressed error [`SnapshotReader`] reports for it.
 
-use rela::lang::{
-    CheckReport, CheckSession, IngestMode, JobOptions, JobSpec, LabeledSource, SessionConfig,
+use rela::lang::{CheckReport, CheckSession, JobOptions, JobSpec, LabeledSource, SessionConfig};
+use rela::net::{
+    BinarySnapshotWriter, Granularity, MmapSource, Snapshot, SnapshotError, SnapshotFramer,
+    SnapshotPair, SnapshotReader, SnapshotWriter,
 };
-use rela::net::{BinarySnapshotWriter, Granularity, MmapSource, SnapshotFramer};
 use rela::sim::workload::{iteration_deltas, spec_of_size, synthetic_wan, WanParams};
 
 fn params() -> WanParams {
@@ -52,12 +53,16 @@ fn fixture() -> Fixture {
 }
 
 fn session(fx: &Fixture, retain_base: bool) -> CheckSession {
+    session_with_threads(fx, retain_base, 1)
+}
+
+fn session_with_threads(fx: &Fixture, retain_base: bool, threads: usize) -> CheckSession {
     CheckSession::open(
         &fx.spec,
         fx.db.clone(),
         SessionConfig {
             granularity: Granularity::Group,
-            threads: 1,
+            threads,
             retain_bases: usize::from(retain_base),
             ..SessionConfig::default()
         },
@@ -78,6 +83,43 @@ fn pack(json: &str) -> Vec<u8> {
     writer.finish().unwrap()
 }
 
+/// The same records as `json` in a seed-shuffled order: a different
+/// arrival order at the join, the registry, and the decide queue.
+fn shuffled(json: &str, seed: u64) -> String {
+    let mut records: Vec<_> = SnapshotReader::new(json.as_bytes())
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let mut x = seed;
+    for i in (1..records.len()).rev() {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        records.swap(i, (x >> 33) as usize % (i + 1));
+    }
+    let mut writer = SnapshotWriter::new(Vec::new()).unwrap();
+    for (flow, graph) in &records {
+        writer.write(flow, graph).unwrap();
+    }
+    String::from_utf8(writer.finish().unwrap()).unwrap()
+}
+
+/// The aligned in-memory pair behind two JSON snapshots.
+fn pair_of(pre: &str, post: &str) -> SnapshotPair {
+    SnapshotPair::align(
+        &Snapshot::from_json(pre).unwrap(),
+        &Snapshot::from_json(post).unwrap(),
+    )
+}
+
+/// The error the record reader reports for `bytes` under `label`: the
+/// contract every engine ingest error must match byte for byte.
+fn reader_error(bytes: &[u8], label: &str) -> SnapshotError {
+    SnapshotReader::new(bytes)
+        .with_label(label)
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap_err()
+}
+
 /// Verdict bytes: the report minus its timing- and stats-bearing lines
 /// (the filter every engine-equivalence test uses).
 fn verdict_bytes(report: &CheckReport) -> String {
@@ -89,15 +131,11 @@ fn verdict_bytes(report: &CheckReport) -> String {
         .join("\n")
 }
 
-fn stream_job<'a>(pre: &'a [u8], post: &'a [u8], ingest: IngestMode) -> JobSpec<'a> {
+fn stream_job<'a>(pre: &'a [u8], post: &'a [u8]) -> JobSpec<'a> {
     JobSpec::streams(
         LabeledSource::new(pre, "pre"),
         LabeledSource::new(post, "post"),
     )
-    .with_options(JobOptions {
-        ingest,
-        ..JobOptions::default()
-    })
 }
 
 /// Spool `bytes` to a temp file, memory-map it, and unlink the file —
@@ -117,57 +155,58 @@ fn mapped(bytes: &[u8], label: &str) -> LabeledSource<'static> {
     LabeledSource::mapped(map, label)
 }
 
-fn mapped_job(pre: &[u8], post: &[u8], ingest: IngestMode) -> JobSpec<'static> {
-    JobSpec::streams(mapped(pre, "pre"), mapped(post, "post")).with_options(JobOptions {
-        ingest,
-        ..JobOptions::default()
-    })
+fn mapped_job(pre: &[u8], post: &[u8]) -> JobSpec<'static> {
+    JobSpec::streams(mapped(pre, "pre"), mapped(post, "post"))
 }
 
 #[test]
-fn every_container_mode_and_depth_agrees_with_materialized_json() {
+fn every_container_transport_and_thread_count_agrees_with_the_pair() {
     let fx = fixture();
-    let binary_pre = pack(&fx.pre_json);
-    let binary_post = pack(&fx.post_json);
-    let baseline = session(&fx, false)
-        .run(stream_job(
-            fx.pre_json.as_bytes(),
-            fx.post_json.as_bytes(),
-            IngestMode::Materialized,
-        ))
-        .unwrap();
+    let pair = pair_of(&fx.pre_json, &fx.post_json);
+    let baseline = session(&fx, false).run(JobSpec::pair(&pair)).unwrap();
     assert!(!baseline.is_compliant(), "the change must be visible");
-    let containers: [(&str, &[u8], &[u8]); 2] = [
-        ("json", fx.pre_json.as_bytes(), fx.post_json.as_bytes()),
-        ("binary", &binary_pre, &binary_post),
+    let (pre_shuffled, post_shuffled) = (shuffled(&fx.pre_json, 7), shuffled(&fx.post_json, 11));
+    assert_ne!(pre_shuffled, fx.pre_json, "the shuffle must move records");
+    let containers: [(&str, Vec<u8>, Vec<u8>); 4] = [
+        (
+            "json",
+            fx.pre_json.clone().into(),
+            fx.post_json.clone().into(),
+        ),
+        ("binary", pack(&fx.pre_json), pack(&fx.post_json)),
+        (
+            "shuffled-json",
+            pre_shuffled.clone().into(),
+            post_shuffled.clone().into(),
+        ),
+        ("shuffled-binary", pack(&pre_shuffled), pack(&post_shuffled)),
     ];
-    let modes = [
-        IngestMode::Materialized,
-        IngestMode::Serial,
-        IngestMode::Pipelined { depth: 0 },
-        IngestMode::Pipelined { depth: 1 },
-        IngestMode::Pipelined { depth: 2 },
-        IngestMode::Pipelined { depth: 7 },
-    ];
-    for (container, pre, post) in containers {
-        for mode in modes {
-            let report = session(&fx, false)
-                .run(stream_job(pre, post, mode))
-                .unwrap();
+    for threads in [1, 2, 4] {
+        let s = session_with_threads(&fx, false, threads);
+        let report = s.run(JobSpec::pair(&pair)).unwrap();
+        assert_eq!(
+            report.stats.graph_decodes, 0,
+            "a decoded pair decodes nothing"
+        );
+        assert_eq!(
+            verdict_bytes(&report),
+            verdict_bytes(&baseline),
+            "pair × {threads} threads diverged"
+        );
+        for (container, pre, post) in &containers {
+            let report = s.run(stream_job(pre, post)).unwrap();
             assert_eq!(
                 verdict_bytes(&report),
                 verdict_bytes(&baseline),
-                "{container} × {mode:?} diverged from materialized JSON"
+                "{container} × buffered × {threads} threads diverged from the pair"
             );
             // the same container through a memory mapping: zero-copy
-            // framing for pipelined RSNB, the stream adapter otherwise
-            let report = session(&fx, false)
-                .run(mapped_job(pre, post, mode))
-                .unwrap();
+            // framing for RSNB, the buffered framer for JSON
+            let report = s.run(mapped_job(pre, post)).unwrap();
             assert_eq!(
                 verdict_bytes(&report),
                 verdict_bytes(&baseline),
-                "{container}-mmap × {mode:?} diverged from materialized JSON"
+                "{container} × mmap × {threads} threads diverged from the pair"
             );
         }
     }
@@ -176,43 +215,39 @@ fn every_container_mode_and_depth_agrees_with_materialized_json() {
 #[test]
 fn delta_submission_agrees_with_both_containers() {
     let fx = fixture();
-    let s = session(&fx, true);
-    // seed the retained base with the first iteration's pair
-    s.run(stream_job(
-        fx.pre_json.as_bytes(),
-        fx.post_seed_json.as_bytes(),
-        IngestMode::default(),
-    ))
-    .unwrap();
-    assert_eq!(s.base_epoch(), Some(fx.base_epoch));
-    let delta_report = s
-        .run(
-            JobSpec::deltas(
-                LabeledSource::new(&fx.delta_pre[..], "delta:pre"),
-                LabeledSource::new(&fx.delta_post[..], "delta:post"),
-            )
-            .with_options(JobOptions {
-                delta_base: Some(fx.base_epoch.as_u128()),
-                ..JobOptions::default()
-            }),
-        )
-        .unwrap();
-    let full = session(&fx, false)
-        .run(stream_job(
+    let pair = pair_of(&fx.pre_json, &fx.post_json);
+    let in_memory = session(&fx, false).run(JobSpec::pair(&pair)).unwrap();
+    for threads in [1, 2, 4] {
+        let s = session_with_threads(&fx, true, threads);
+        // seed the retained base with the first iteration's pair
+        s.run(stream_job(
             fx.pre_json.as_bytes(),
-            fx.post_json.as_bytes(),
-            IngestMode::Materialized,
+            fx.post_seed_json.as_bytes(),
         ))
         .unwrap();
-    assert_eq!(verdict_bytes(&delta_report), verdict_bytes(&full));
-    let binary = session(&fx, false)
-        .run(stream_job(
-            &pack(&fx.pre_json),
-            &pack(&fx.post_json),
-            IngestMode::Pipelined { depth: 0 },
-        ))
-        .unwrap();
-    assert_eq!(verdict_bytes(&delta_report), verdict_bytes(&binary));
+        assert_eq!(s.base_epoch(), Some(fx.base_epoch));
+        let delta_report = s
+            .run(
+                JobSpec::deltas(
+                    LabeledSource::new(&fx.delta_pre[..], "delta:pre"),
+                    LabeledSource::new(&fx.delta_post[..], "delta:post"),
+                )
+                .with_options(JobOptions {
+                    delta_base: Some(fx.base_epoch.as_u128()),
+                    ..JobOptions::default()
+                }),
+            )
+            .unwrap();
+        assert_eq!(
+            verdict_bytes(&delta_report),
+            verdict_bytes(&in_memory),
+            "delta × {threads} threads diverged from the pair"
+        );
+        let binary = session_with_threads(&fx, false, threads)
+            .run(stream_job(&pack(&fx.pre_json), &pack(&fx.post_json)))
+            .unwrap();
+        assert_eq!(verdict_bytes(&delta_report), verdict_bytes(&binary));
+    }
 }
 
 /// Deterministic truncation points spread over `len` bytes, always
@@ -245,44 +280,37 @@ fn truncation_errors_keep_the_label_offset_contract_in_every_container() {
     for (container, pre, post) in &containers {
         for cut in truncation_points(post.len()) {
             let clipped = &post[..cut];
-            // the serial and pipelined engines must surface the same
-            // labelled, offset-addressed error for the same corruption
-            let serial = session(&fx, false)
-                .run(stream_job(pre, clipped, IngestMode::Serial))
+            // the engine must surface the labelled, offset-addressed
+            // error the record reader reports for the same corruption
+            let expected = reader_error(clipped, "post");
+            let buffered = session(&fx, false)
+                .run(stream_job(pre, clipped))
                 .unwrap_err();
-            let pipelined = session(&fx, false)
-                .run(stream_job(pre, clipped, IngestMode::Pipelined { depth: 2 }))
-                .unwrap_err();
-            for err in [&serial, &pipelined] {
-                assert_eq!(
-                    err.label(),
-                    Some("post"),
-                    "{container} cut at {cut}: wrong label ({err})"
-                );
-                assert!(
-                    err.byte_offset().is_some(),
-                    "{container} cut at {cut}: no byte offset ({err})"
-                );
-            }
             assert_eq!(
-                serial.to_string(),
-                pipelined.to_string(),
-                "{container} cut at {cut}: serial and pipelined errors diverged"
+                buffered.label(),
+                Some("post"),
+                "{container} cut at {cut}: wrong label ({buffered})"
+            );
+            assert!(
+                buffered.byte_offset().is_some(),
+                "{container} cut at {cut}: no byte offset ({buffered})"
+            );
+            assert_eq!(
+                buffered.to_string(),
+                expected.to_string(),
+                "{container} cut at {cut}: engine and reader errors diverged"
             );
             // a truncated *mapped* container must surface the identical
             // error: the in-place framer shares the buffered framer's
             // offset/entry contract byte for byte
             let mapped_err = session(&fx, false)
-                .run(
-                    JobSpec::streams(LabeledSource::new(&pre[..], "pre"), mapped(clipped, "post"))
-                        .with_options(JobOptions {
-                            ingest: IngestMode::Pipelined { depth: 2 },
-                            ..JobOptions::default()
-                        }),
-                )
+                .run(JobSpec::streams(
+                    LabeledSource::new(&pre[..], "pre"),
+                    mapped(clipped, "post"),
+                ))
                 .unwrap_err();
             assert_eq!(
-                serial.to_string(),
+                expected.to_string(),
                 mapped_err.to_string(),
                 "{container} cut at {cut}: mapped and buffered errors diverged"
             );
@@ -298,7 +326,6 @@ fn truncated_delta_documents_keep_the_error_contract() {
         s.run(stream_job(
             fx.pre_json.as_bytes(),
             fx.post_seed_json.as_bytes(),
-            IngestMode::default(),
         ))
         .unwrap();
         let err = s
