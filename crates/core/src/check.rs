@@ -19,16 +19,24 @@
 //!
 //! There is one engine, the pipelined one ([`Checker::check_pipelined`]):
 //! a sharded flow-join map, a sharded class registry, eager decides
-//! while records still arrive, and a finisher that decides the rest
-//! over a work-stealing queue under the run's definitive symbol table.
-//! Records reach class admission three ways — framed spans from two
-//! snapshot streams, retained spans replayed for a delta job, or decoded
-//! FECs of an in-memory [`SnapshotPair`] ([`Checker::check`]) — and the
-//! report bytes are the same whichever way they came.
+//! while records still arrive, and a finisher that decides the classes
+//! no worker reached over a work-stealing queue. Records reach class
+//! admission three ways — framed spans from two snapshot streams,
+//! retained spans replayed for a delta job, or decoded FECs of an
+//! in-memory [`SnapshotPair`] ([`Checker::check`]) — and the report bytes
+//! are the same whichever way they came.
+//!
+//! Every decide resolves locations against one alphabet, the compiled
+//! program's symbol table ([`RunAlphabet`]), and witness bytes are
+//! defined by location names rather than symbol ids ([`PathRenderer`]),
+//! so a class renders the same whether a worker decided it mid-ingest or
+//! the finisher did — each class is decided once.
 
 use crate::ast::Program;
 use crate::compile::{CompiledCheck, CompiledProgram, GuardedPart};
-use crate::counterexample::{diff_equation, EquationDiff, PathRenderer, WitnessLimits};
+use crate::counterexample::{
+    diff_equation, EquationDiff, PathRenderer, RunAlphabet, WitnessLimits,
+};
 use crate::lower::{lower_pathset_dfa, lower_rel, PairFsas};
 use crate::pipeline::{
     Channel, ClassRef, ClassRegistry, DecideQueue, EagerOutcome, EagerTask, ErrorSink, FlowRef,
@@ -38,17 +46,17 @@ use crate::report::{
     CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
 };
 use crate::rir::RirSpec;
-use rela_automata::{determinize, enumerate_words, equivalent, image, Dfa, Fst, Nfa, SymbolTable};
+use rela_automata::{determinize, enumerate_words, equivalent, image, Dfa, Fst, Nfa};
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::{
     behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa_prepared,
     pair_epoch, record_mix, side_fold, AlignedFec, BehaviorHash, FlowDecoded, FlowSpec,
     ForwardingGraph, Granularity, LocationDb, RawRecord, RecordBody, SnapshotError, SnapshotFramer,
-    SnapshotPair, DROP_LOCATION,
+    SnapshotPair,
 };
-use serde::{Serialize, Value};
+use serde::Serialize;
 use std::borrow::{Borrow, Cow};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -60,7 +68,7 @@ use std::time::{Duration, Instant};
 /// without a crate version bump — a new engine must never replay an old
 /// engine's verdicts.
 // engine.2: symbol interning moved to a sorted set of representative
-// locations (`table_of`), which changes automaton layouts and therefore
+// locations, which changes automaton layouts and therefore
 // witness enumeration order — engine.1 renderings must not replay.
 // engine.3: the store-key variant fingerprint widened from 24 to 25
 // option bytes (the side-minimization flag), so entries written by
@@ -70,7 +78,13 @@ use std::time::{Duration, Instant};
 // engine.4: the side-minimization ablation flag is gone and the variant
 // fingerprint narrowed back to 24 option bytes, so no engine.3 entry
 // can match again — the epoch moves for the same `cache gc` reason.
-pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.4");
+// engine.5: the compiled program's symbol table became the engine's
+// alphabet and witness bytes are defined by location names, so
+// byte-keyed payloads lose their `symbols` array, and a co-finite label
+// excluding every program symbol now renders `<any-other>` instead of
+// a name drawn from the rest of the run — engine.4 entries must not
+// replay.
+pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.5");
 
 /// The persistent-cache epoch for a parsed program bound to a location
 /// database: a content hash of the spec AST *and* the database it
@@ -313,15 +327,13 @@ enum PipeFeed<'p, A: Read, B: Read> {
 /// Per-worker state of the pipelined cold path: the flows this worker
 /// completed pairs for (concatenated into the global flow list after the
 /// join), its eager consult/decide outcomes, its phase timings, the
-/// graph decodes it actually performed, the symbol names replayed out of
-/// byte-keyed store entries, and the records captured for delta-base
-/// retention.
+/// graph decodes it actually performed, and the records captured for
+/// delta-base retention.
 struct PipelineWorkerState {
     flows: Vec<FlowSpec>,
     outcomes: Vec<(ClassRef, EagerOutcome)>,
     phases: PhaseTimings,
     decodes: usize,
-    symbols: BTreeSet<String>,
     captured: Vec<(Side, RetainedRecord)>,
 }
 
@@ -332,7 +344,6 @@ impl PipelineWorkerState {
             outcomes: Vec::new(),
             phases: PhaseTimings::default(),
             decodes: 0,
-            symbols: BTreeSet::new(),
             captured: Vec::new(),
         }
     }
@@ -438,43 +449,11 @@ fn feed_prepared(items: Vec<PreparedItem>, channel: &Channel<PipeBatch<'_>>, err
     channel.close();
 }
 
-/// Fold `symbols` into a cached-verdict payload as a sorted `symbols`
-/// array (replacing any present). Byte-keyed entries must carry the
-/// founding representative's interned location names: a byte-warm class
-/// replays with a placeholder rep that contributes nothing to the run's
-/// symbol table, so the table — and with it the witness bytes of every
-/// *other* class — would drift from the full-decode run without them.
-fn payload_with_symbols(mut payload: Value, symbols: &BTreeSet<String>) -> Value {
-    if let Value::Obj(fields) = &mut payload {
-        fields.retain(|(k, _)| k != "symbols");
-        fields.push((
-            "symbols".to_owned(),
-            Value::Arr(symbols.iter().map(|s| s.to_value()).collect()),
-        ));
-    }
-    payload
-}
-
-/// Content fingerprint of a symbol table's interned location-name set
-/// (the program's own symbols are fixed per run, so the names suffice).
-/// Disambiguates [`MemoKey`]s between decides that used different
-/// tables — see the type's documentation.
-fn table_fingerprint(names: &BTreeSet<String>) -> u128 {
-    let mut bytes = Vec::new();
-    for name in names {
-        bytes.extend_from_slice(name.as_bytes());
-        bytes.push(0xff); // separator: adjacent names cannot collide
-    }
-    content_hash128(&bytes)
-}
-
-/// Memo key: `(side behavior hash, route, part index, is_post_side,
-/// symbol-table fingerprint)`. The table fingerprint matters because a
-/// DFA's state/symbol layout is a function of the table it was built
-/// against: the finisher decides under one run-global table, while
-/// eager decides use per-class tables — sides may only be shared
-/// between decides that interned the same symbol set.
-type MemoKey = (u128, usize, usize, bool, u128);
+/// Memo key: `(side behavior hash, route, part index, is_post_side)`.
+/// Memoized sides are automata over the compiled program's alphabet
+/// only — a side that resolved an overflow location is never memoized —
+/// so a key means the same automaton in every run of the session.
+type MemoKey = (u128, usize, usize, bool);
 
 /// Size cap for a shared, session-lifetime [`FstMemo`]: beyond this many
 /// retained sides new computations are returned uncached, bounding a
@@ -560,6 +539,35 @@ impl<'a> LoweredCheck<'a> {
             CompiledCheck::Raw { .. } | CompiledCheck::PathLimit { .. } => Vec::new(),
         };
         LoweredCheck { check, fsts }
+    }
+}
+
+/// What every decide of one run shares: the program's checks with their
+/// relations pre-lowered, the run alphabet, and the FST memo.
+struct DecideCtx<'r> {
+    default: LoweredCheck<'r>,
+    routed: Vec<LoweredCheck<'r>>,
+    alphabet: RunAlphabet<'r>,
+    memo: &'r FstMemo,
+}
+
+impl<'r> DecideCtx<'r> {
+    fn new(program: &'r CompiledProgram, memo: &'r FstMemo) -> DecideCtx<'r> {
+        DecideCtx {
+            default: LoweredCheck::new(&program.default_check),
+            routed: program
+                .routed
+                .iter()
+                .map(|r| LoweredCheck::new(&r.check))
+                .collect(),
+            alphabet: RunAlphabet::new(&program.table),
+            memo,
+        }
+    }
+
+    /// The lowered check a FEC on `route` is decided against.
+    fn lowered(&self, route: Option<usize>) -> &LoweredCheck<'r> {
+        route.map_or(&self.default, |r| &self.routed[r])
     }
 }
 
@@ -679,11 +687,10 @@ impl<'a> Checker<'a> {
     ///    residency stays O(classes).
     /// 4. Idle workers **begin deciding** admitted classes while records
     ///    still arrive: warm classes replay from the persistent store
-    ///    immediately, and cold classes are decided eagerly against a
-    ///    per-class symbol table. Compliant verdicts carry no rendered
-    ///    paths, so they are final; violating ones are re-decided by the
-    ///    finisher under the run's definitive sorted table, so witness
-    ///    bytes do not depend on arrival order.
+    ///    immediately, and cold classes are decided eagerly. Every
+    ///    verdict is final — witness bytes are defined by location
+    ///    names, not by symbol ids or arrival order — so the finisher
+    ///    decides only the classes no worker reached.
     ///
     /// The produced report is byte-identical to [`Checker::check`] on
     /// the same records at any thread count. The first stream error
@@ -737,13 +744,6 @@ impl<'a> Checker<'a> {
         let start = Instant::now();
         let threads = self.resolve_threads();
         let workers = threads.max(1);
-        let default_lowered = LoweredCheck::new(&self.program.default_check);
-        let routed_lowered: Vec<LoweredCheck<'_>> = self
-            .program
-            .routed
-            .iter()
-            .map(|r| LoweredCheck::new(&r.check))
-            .collect();
 
         // capacity counts batches: a records-in-flight budget of
         // IN_FLIGHT_PER_WORKER × workers, converted through the
@@ -765,6 +765,7 @@ impl<'a> Checker<'a> {
         let local_memo = FstMemo::new();
         let memo: &FstMemo = self.memo.unwrap_or(&local_memo);
         let memo_hits_before = memo.hits.load(Ordering::Relaxed);
+        let ctx = DecideCtx::new(self.program, memo);
         // the two framers share the close; single producers close alone
         let producers_left = AtomicUsize::new(2);
 
@@ -781,8 +782,7 @@ impl<'a> Checker<'a> {
                     }
                     // the whole pair is queued and the channel closed
                     // before any worker starts, so workers never wait
-                    // on it and every decide happens in the finisher,
-                    // under the run's one table
+                    // on it and every decide happens in the finisher
                     PipeFeed::Pair(fecs) => {
                         for chunk in fecs.chunks(FRAME_BATCH_RECORDS) {
                             let _ = channel.send(PipeBatch::Decoded(chunk));
@@ -798,9 +798,7 @@ impl<'a> Checker<'a> {
                     let registry = &registry;
                     let decide_queue = &decide_queue;
                     let errors = &errors;
-                    let memo: &FstMemo = memo;
-                    let default_ref = &default_lowered;
-                    let routed_ref = &routed_lowered;
+                    let ctx = &ctx;
                     let labels = &labels;
                     scope.spawn(move || {
                         self.pipeline_worker(
@@ -810,9 +808,7 @@ impl<'a> Checker<'a> {
                             registry,
                             decide_queue,
                             errors,
-                            memo,
-                            default_ref,
-                            routed_ref,
+                            ctx,
                             labels,
                         )
                     })
@@ -887,7 +883,6 @@ impl<'a> Checker<'a> {
         let mut flows: Vec<FlowSpec> = Vec::new();
         let mut outcomes: Vec<(ClassRef, EagerOutcome)> = Vec::new();
         let mut graph_decodes = 0usize;
-        let mut replayed_symbols: BTreeSet<String> = BTreeSet::new();
         let mut captured: Vec<(Side, RetainedRecord)> = Vec::new();
         for mut local in locals {
             offsets.push(flows.len());
@@ -895,7 +890,6 @@ impl<'a> Checker<'a> {
             outcomes.append(&mut local.outcomes);
             phases.merge(&local.phases);
             graph_decodes += local.decodes;
-            replayed_symbols.extend(local.symbols);
             captured.append(&mut local.captured);
         }
         let (accs, shard_offsets) = registry.into_classes();
@@ -915,48 +909,24 @@ impl<'a> Checker<'a> {
             reps.push(acc.rep);
         }
 
-        // Partition the eager outcomes: warm replays and compliant eager
-        // decides are final; violating provisionals and classes never
-        // reached (tasks left queued when the stream ended) go to the
-        // finisher.
+        // Eager outcomes are final; the finisher decides only the
+        // classes no worker reached (tasks left queued when the stream
+        // ended), so no class is decided twice.
         let mut covered = vec![false; classes.len()];
         let mut warm: Vec<(usize, FecResult)> = Vec::new();
         let mut done: Vec<(usize, FecResult, Duration, PhaseTimings)> = Vec::new();
-        let mut redo: Vec<usize> = Vec::new();
         for (class_ref, outcome) in outcomes {
             let global = shard_offsets[class_ref.shard] + class_ref.index;
             covered[global] = true;
             match outcome {
                 EagerOutcome::Warm(result) => warm.push((global, result)),
-                EagerOutcome::Compliant(result, wall, class_phases) => {
+                EagerOutcome::Decided(result, wall, class_phases) => {
                     done.push((global, result, wall, class_phases))
                 }
-                EagerOutcome::ViolatingProvisional => redo.push(global),
             }
         }
-        redo.extend((0..classes.len()).filter(|&ix| !covered[ix]));
-        redo.sort_unstable();
-
-        // Final decides under the run's definitive sorted table — a
-        // function of the class representatives' content alone, which is
-        // what makes witness bytes identical across inputs. Byte-warm classes
-        // replay with placeholder reps, so the symbol names their
-        // payloads recorded are folded back in here.
-        let mut names = self.collect_symbols(&reps);
-        names.extend(replayed_symbols);
-        let table_fp = table_fingerprint(&names);
-        let table = self.table_of(&names);
-        let (fresh, final_phases) = self.decide_classes(
-            &redo,
-            &classes,
-            &reps,
-            &default_lowered,
-            &routed_lowered,
-            &table,
-            table_fp,
-            memo,
-            threads,
-        );
+        let cold: Vec<usize> = (0..classes.len()).filter(|&ix| !covered[ix]).collect();
+        let (fresh, final_phases) = self.decide_classes(&cold, &classes, &reps, &ctx, threads);
         phases.merge(&final_phases);
         if self.was_cancelled() {
             // partial decides are individually sound but the run is not
@@ -975,11 +945,7 @@ impl<'a> Checker<'a> {
                 if let Some(key) = self.store_key(class) {
                     let value = result.to_cache_value(*wall, class_phases);
                     if let Some(byte_key) = class.byte_key {
-                        let symbols = self.collect_symbols(std::slice::from_ref(&reps[*ix]));
-                        cache.put(
-                            &self.byte_store_key(byte_key, class.route),
-                            payload_with_symbols(value.clone(), &symbols),
-                        );
+                        cache.put(&self.byte_store_key(byte_key, class.route), value.clone());
                     }
                     cache.put(&key, value);
                 }
@@ -1042,9 +1008,7 @@ impl<'a> Checker<'a> {
         registry: &ClassRegistry<'p>,
         decide_queue: &DecideQueue<'p>,
         errors: &ErrorSink,
-        memo: &FstMemo,
-        default_lowered: &LoweredCheck<'_>,
-        routed_lowered: &[LoweredCheck<'_>],
+        ctx: &DecideCtx<'_>,
         labels: &[Option<String>; 2],
     ) -> PipelineWorkerState {
         let _poison_guard = PoisonOnPanic(channel);
@@ -1101,7 +1065,7 @@ impl<'a> Checker<'a> {
                 }
                 Recv::Timeout => {
                     if let Some(task) = decide_queue.pop() {
-                        self.eager_decide(task, memo, default_lowered, routed_lowered, &mut state);
+                        self.eager_decide(task, ctx, &mut state);
                     }
                 }
                 Recv::Closed => return state,
@@ -1399,16 +1363,6 @@ impl<'a> Checker<'a> {
             let key = self.byte_store_key(byte_key, route);
             if let Some(payload) = cache.get(&key) {
                 if let Some(result) = FecResult::from_cache_value(&payload, flow.clone()) {
-                    // the placeholder representative renders nothing, so
-                    // the payload carries the symbols its class would
-                    // have contributed to the definitive table
-                    if let Some(symbols) = payload.get("symbols").and_then(|v| v.as_arr()) {
-                        for name in symbols {
-                            if let Some(name) = name.as_str() {
-                                state.symbols.insert(name.to_owned());
-                            }
-                        }
-                    }
                     let placeholder = AlignedFec {
                         flow: flow.clone(),
                         pre: ForwardingGraph::default(),
@@ -1501,11 +1455,7 @@ impl<'a> Checker<'a> {
         match replay {
             Some((cache, payload, result)) => {
                 if let Some(byte_key) = byte_key {
-                    let symbols = self.collect_symbols(std::slice::from_ref(&rep));
-                    cache.put(
-                        &self.byte_store_key(byte_key, route),
-                        payload_with_symbols(payload, &symbols),
-                    );
+                    cache.put(&self.byte_store_key(byte_key, route), payload);
                 }
                 state.outcomes.push((class, EagerOutcome::Warm(result)));
             }
@@ -1555,42 +1505,24 @@ impl<'a> Checker<'a> {
         })
     }
 
-    /// Decide one class mid-ingest against a **per-class** symbol table
-    /// (the run-global table cannot exist until the stream ends). A
-    /// compliant verdict is final: it renders no paths, so its bytes
-    /// cannot depend on the table. A violating verdict proves only the
-    /// boolean — language (in)equivalence is invariant under the table
-    /// relabeling — while its witnesses are table-sensitive, so it is
-    /// handed back for a finisher re-decide.
+    /// Decide one class mid-ingest. The verdict is final: it renders
+    /// exactly as a finisher decide of the same class would.
     fn eager_decide(
         &self,
         task: EagerTask<'_>,
-        memo: &FstMemo,
-        default_lowered: &LoweredCheck<'_>,
-        routed_lowered: &[LoweredCheck<'_>],
+        ctx: &DecideCtx<'_>,
         state: &mut PipelineWorkerState,
     ) {
-        let names = self.collect_symbols(std::slice::from_ref(&task.rep));
-        let table_fp = table_fingerprint(&names);
-        let table = self.table_of(&names);
         let t0 = Instant::now();
         let before = state.phases;
         let result = self.check_class(
             task.rep.borrow(),
             task.route,
             task.key,
-            default_lowered,
-            routed_lowered,
-            &table,
-            table_fp,
-            memo,
+            ctx,
             &mut state.phases,
         );
-        let outcome = if result.violations.is_empty() {
-            EagerOutcome::Compliant(result, t0.elapsed(), state.phases.since(&before))
-        } else {
-            EagerOutcome::ViolatingProvisional
-        };
+        let outcome = EagerOutcome::Decided(result, t0.elapsed(), state.phases.since(&before));
         state.outcomes.push((task.class, outcome));
     }
 
@@ -1611,17 +1543,12 @@ impl<'a> Checker<'a> {
     /// undecided class from an atomic cursor, so a pathological class
     /// occupies one worker while the rest drain the queue, instead of
     /// stalling a statically assigned chunk.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
     fn decide_classes(
         &self,
         cold: &[usize],
         classes: &[BehaviorClass],
         reps: &[Rep<'_>],
-        default_lowered: &LoweredCheck<'_>,
-        routed_lowered: &[LoweredCheck<'_>],
-        table: &SymbolTable,
-        table_fp: u128,
-        memo: &FstMemo,
+        ctx: &DecideCtx<'_>,
         threads: usize,
     ) -> (
         Vec<(usize, FecResult, Duration, PhaseTimings)>,
@@ -1638,17 +1565,7 @@ impl<'a> Checker<'a> {
                 let class = &classes[ix];
                 let t0 = Instant::now();
                 let before = phases;
-                let result = self.check_class(
-                    &reps[ix],
-                    class.route,
-                    class.key,
-                    default_lowered,
-                    routed_lowered,
-                    table,
-                    table_fp,
-                    memo,
-                    &mut phases,
-                );
+                let result = self.check_class(&reps[ix], class.route, class.key, ctx, &mut phases);
                 decided.push((ix, result, t0.elapsed(), phases.since(&before)));
             }
         } else {
@@ -1673,11 +1590,7 @@ impl<'a> Checker<'a> {
                                     &reps[ix],
                                     class.route,
                                     class.key,
-                                    default_lowered,
-                                    routed_lowered,
-                                    table,
-                                    table_fp,
-                                    memo,
+                                    ctx,
                                     &mut local_phases,
                                 );
                                 out.push((ix, result, t0.elapsed(), local_phases.since(&before)));
@@ -1834,94 +1747,14 @@ impl<'a> Checker<'a> {
 
     /// Check a single FEC (useful for incremental workflows and tests).
     pub fn check_fec(&self, fec: &AlignedFec) -> FecResult {
-        let names = self.collect_symbols(std::slice::from_ref(fec));
-        let table = self.table_of(&names);
-        let default_lowered = LoweredCheck::new(&self.program.default_check);
-        let routed_lowered: Vec<LoweredCheck<'_>> = self
-            .program
-            .routed
-            .iter()
-            .map(|r| LoweredCheck::new(&r.check))
-            .collect();
+        let memo = FstMemo::new();
         self.check_class(
             fec,
             self.route_of_flow(&fec.flow),
             None,
-            &default_lowered,
-            &routed_lowered,
-            &table,
-            table_fingerprint(&names),
-            &FstMemo::new(),
+            &DecideCtx::new(self.program, &memo),
             &mut PhaseTimings::default(),
         )
-    }
-
-    /// The sorted set of location names the representative graphs
-    /// mention at the program granularity — the content the run's master
-    /// symbol table is built from (see [`Checker::table_of`]).
-    fn collect_symbols<R: Borrow<AlignedFec>>(&self, reps: &[R]) -> BTreeSet<String> {
-        let mut names: BTreeSet<String> = BTreeSet::new();
-        for rep in reps {
-            let fec = rep.borrow();
-            self.collect_graph_symbols(&fec.pre, &mut names);
-            self.collect_graph_symbols(&fec.post, &mut names);
-        }
-        names
-    }
-
-    /// Build a read-only symbol table: the program's own symbols, then
-    /// `names` interned in **sorted order**.
-    ///
-    /// Interning the sorted *set* makes the table — and therefore
-    /// automaton layouts, witness enumeration order, and report bytes —
-    /// a function of the graphs' content only, independent of FEC
-    /// arrival order, input path, dedup mode, and thread count. That
-    /// invariant is what lets every way into the engine promise
-    /// byte-identical reports. Interning only class representatives is sound
-    /// and sufficient: members of a class share the representative's
-    /// granularity-level location set (the fingerprint hashes those very
-    /// labels), so the pre-pass is O(classes), not O(FECs).
-    fn table_of(&self, names: &BTreeSet<String>) -> SymbolTable {
-        let mut table = self.program.table.clone();
-        for name in names {
-            table.intern(name);
-        }
-        table
-    }
-
-    /// Collect the location names `graph` contributes to the alphabet at
-    /// the program granularity (the symbols `graph_to_fsa_prepared` will
-    /// look up).
-    fn collect_graph_symbols(&self, graph: &ForwardingGraph, names: &mut BTreeSet<String>) {
-        let mut add = |name: &str| {
-            if !names.contains(name) {
-                names.insert(name.to_owned());
-            }
-        };
-        match self.program.granularity {
-            Granularity::Device => {
-                for v in &graph.vertices {
-                    add(v);
-                }
-            }
-            Granularity::Group => {
-                for v in &graph.vertices {
-                    add(self.db.group_of(v).unwrap_or(v));
-                }
-            }
-            Granularity::Interface => {
-                for e in &graph.edges {
-                    add(&format!("{}:{}", graph.vertices[e.from], e.src_port));
-                    add(&format!("{}:{}", graph.vertices[e.to], e.dst_port));
-                }
-                for v in &graph.vertices {
-                    add(v);
-                }
-            }
-        }
-        if !graph.drops.is_empty() {
-            add(DROP_LOCATION);
-        }
     }
 
     /// Decide one behavior class on its representative FEC. The graphs
@@ -1930,17 +1763,12 @@ impl<'a> Checker<'a> {
     /// would produce byte-identical output if checked individually
     /// (witness enumeration order depends on automaton layout, and the
     /// canonical form pins that layout).
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
     fn check_class(
         &self,
         fec: &AlignedFec,
         route: Option<usize>,
         class_key: Option<(BehaviorHash, BehaviorHash)>,
-        default_lowered: &LoweredCheck<'_>,
-        routed_lowered: &[LoweredCheck<'_>],
-        table: &SymbolTable,
-        table_fp: u128,
-        memo: &FstMemo,
+        ctx: &DecideCtx<'_>,
         phases: &mut PhaseTimings,
     ) -> FecResult {
         // deterministic panic injection for the containment tests: with
@@ -1948,22 +1776,28 @@ impl<'a> Checker<'a> {
         // this process panics here — inside a real engine worker, where
         // an organic bug would
         rela_net::faultio::at("decide").fire();
-        let (route_name, lowered) = match route {
-            Some(r) => (
-                Some(self.program.routed[r].name.clone()),
-                &routed_lowered[r],
-            ),
-            None => (None, default_lowered),
-        };
+        let route_name = route.map(|r| self.program.routed[r].name.clone());
+        let lowered = ctx.lowered(route);
 
         let pre_graph = canonical_graph(&fec.pre);
         let post_graph = canonical_graph(&fec.post);
         let t0 = Instant::now();
-        let pre = graph_to_fsa_prepared(&pre_graph, self.db, self.program.granularity, table);
-        let post = graph_to_fsa_prepared(&post_graph, self.db, self.program.granularity, table);
+        // a side that resolved an overflow location is not memoized: the
+        // memo only holds automata over the program alphabet
+        let side = |graph: &ForwardingGraph, hash: Option<BehaviorHash>| {
+            let mut overflow = false;
+            let nfa = graph_to_fsa_prepared(graph, self.db, self.program.granularity, |name| {
+                let sym = ctx.alphabet.resolve(name);
+                overflow |= ctx.alphabet.is_overflow(sym);
+                sym
+            });
+            (nfa, hash.filter(|_| !overflow).map(|h| h.as_u128()))
+        };
+        let (pre, pre_key) = side(&pre_graph, class_key.map(|(pre, _)| pre));
+        let (post, post_key) = side(&post_graph, class_key.map(|(_, post)| post));
         phases.lower += t0.elapsed();
         let env = PairFsas::new(pre, post);
-        let renderer = PathRenderer::new(table, &self.program.hash_undo);
+        let renderer = PathRenderer::new(&ctx.alphabet, &self.program.hash_undo);
 
         let violations = match lowered.check {
             CompiledCheck::Relational { parts, .. } => self.check_relational(
@@ -1971,10 +1805,9 @@ impl<'a> Checker<'a> {
                 &lowered.fsts,
                 &env,
                 &renderer,
-                class_key,
+                [pre_key, post_key],
                 route.unwrap_or(usize::MAX),
-                table_fp,
-                memo,
+                ctx.memo,
                 phases,
             ),
             CompiledCheck::Raw { name, spec } => {
@@ -2033,7 +1866,8 @@ impl<'a> Checker<'a> {
 
     /// Decide every guarded equation of a relational check. Each side's
     /// `det(image(State, R))` is looked up in (or recorded into) the
-    /// per-side memo: a side is identified by its behavior hash plus
+    /// per-side memo: a side is identified by its behavior hash
+    /// (`side_keys`, `None` for a side that must not be memoized) plus
     /// the (route, part) selecting the relation, so classes that share
     /// an unchanged side skip its image and determinization entirely.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
@@ -2043,9 +1877,8 @@ impl<'a> Checker<'a> {
         fsts: &[(Fst, Fst)],
         env: &PairFsas,
         renderer: &PathRenderer<'_>,
-        class_key: Option<(BehaviorHash, BehaviorHash)>,
+        side_keys: [Option<u128>; 2],
         route_key: usize,
-        table_fp: u128,
         memo: &FstMemo,
         phases: &mut PhaseTimings,
     ) -> Vec<PartViolation> {
@@ -2058,7 +1891,7 @@ impl<'a> Checker<'a> {
         let mut out = Vec::new();
         for (part_ix, (part, (fst_pre, fst_post))) in parts.iter().zip(fsts).enumerate() {
             let lhs = memo.get_or_compute(
-                class_key.map(|(pre, _)| (pre.as_u128(), route_key, part_ix, false, table_fp)),
+                side_keys[0].map(|pre| (pre, route_key, part_ix, false)),
                 || {
                     let t0 = Instant::now();
                     let nfa = image(&env.pre, fst_pre).trim();
@@ -2067,7 +1900,7 @@ impl<'a> Checker<'a> {
                 },
             );
             let rhs = memo.get_or_compute(
-                class_key.map(|(_, post)| (post.as_u128(), route_key, part_ix, true, table_fp)),
+                side_keys[1].map(|post| (post, route_key, part_ix, true)),
                 || {
                     let t0 = Instant::now();
                     let nfa = image(&env.post, fst_post).trim();
@@ -2219,6 +2052,7 @@ fn render_language(nfa: &Nfa, renderer: &PathRenderer<'_>, limits: WitnessLimits
 mod tests {
     use super::*;
     use rela_net::{linear_graph, Device, FlowSpec, Snapshot};
+    use std::collections::BTreeSet;
 
     /// Session-API stand-in for the deprecated `run_check` shim
     /// (shadows the glob import, so the tests exercise the live path).
@@ -2695,6 +2529,51 @@ mod tests {
             &pair,
         );
         assert_eq!(report.violations, off.violations);
+
+        // the stream path shares sides the same way whether a class was
+        // decided eagerly or by the finisher: the two classes share the
+        // pre side and differ in post locations, so exactly one lookup
+        // (the second class's pre side) hits. Trickled streams span
+        // several frame batches, so the worker decides mid-ingest.
+        assert_eq!(report.stats.fst_memo_hits, 1);
+        let db = db();
+        let (pre, post) = duplicated_snapshots(256);
+        let (pre_json, post_json) = (pre.to_json().unwrap(), post.to_json().unwrap());
+        let program = crate::parser::parse_program(NOCHANGE).unwrap();
+        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
+        let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+            threads: 1,
+            ..CheckOptions::default()
+        });
+        let fast = pipelined(&checker, &pre, &post);
+        for streamed in [fast.clone(), trickled(&checker, &pre_json, &post_json)] {
+            assert_eq!(streamed.stats.classes, 2);
+            assert_eq!(streamed.stats.fst_memo_hits, 1);
+            assert_eq!(verdict_bytes(&streamed), verdict_bytes(&fast));
+        }
+    }
+
+    /// A reader that hands out at most 256 bytes per call, after a
+    /// short sleep, so a snapshot arrives over many frame batches.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            std::thread::sleep(Duration::from_micros(200));
+            let n = buf.len().min(self.0.len()).min(256);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    fn trickled(checker: &Checker<'_>, pre_json: &str, post_json: &str) -> CheckReport {
+        checker
+            .check_pipelined(
+                SnapshotFramer::new(Trickle(pre_json.as_bytes()), "pre.json"),
+                SnapshotFramer::new(Trickle(post_json.as_bytes()), "post.json"),
+            )
+            .unwrap()
     }
 
     #[test]
@@ -2739,34 +2618,127 @@ mod tests {
         }
     }
 
+    /// `path` as a forwarding graph, with an ECMP fork through two
+    /// middle hops when `fork` names them.
+    fn fork_graph(head: &str, fork: [&str; 2], tail: &str) -> ForwardingGraph {
+        let mut g = ForwardingGraph::new();
+        let h = g.add_vertex(head);
+        let t = g.add_vertex(tail);
+        for (ix, mid) in fork.into_iter().enumerate() {
+            let m = g.add_vertex(mid);
+            g.add_edge(h, m, format!("e{ix}"), "e9");
+            g.add_edge(m, t, "e8", format!("e{ix}"));
+        }
+        g.sources.push(h);
+        g.sinks.push(t);
+        g
+    }
+
+    /// A pair whose graphs name devices absent from [`db`] (`Z9-r1`,
+    /// `Q7-edge`, `W2-r1`, `M4-r1`, `C3-r1`, `K2-r1`, `B5-r1`) beside
+    /// known ones: unchanged, changed and one-sided flows, several
+    /// flows per behavior, and an ECMP fork through two unknown hops.
+    fn off_db_snapshots() -> (Snapshot, Snapshot) {
+        let mut pre = Snapshot::new();
+        let mut post = Snapshot::new();
+        let paths: [&[&str]; 3] = [
+            &["x1", "Z9-r1", "y1"],
+            &["x1", "A1-r1", "y1"],
+            &["Q7-edge", "A1-r1", "W2-r1"],
+        ];
+        for i in 0..12 {
+            let f = flow(&format!("10.3.{i}.0/24"), "x1");
+            let before = paths[i % 3];
+            pre.insert(f.clone(), linear_graph(before));
+            let after = match i % 4 {
+                0 => linear_graph(&["x1", "M4-r1", "y1"]),
+                1 => linear_graph(before),
+                2 => linear_graph(&["x1", "A2-r1", "y1"]),
+                _ => fork_graph("Q7-edge", ["K2-r1", "B5-r1"], "y1"),
+            };
+            post.insert(f, after);
+        }
+        pre.insert(flow("10.4.0.0/24", "x1"), linear_graph(&["x1", "C3-r1"]));
+        post.insert(flow("10.4.1.0/24", "x1"), linear_graph(&["C3-r1", "y1"]));
+        (pre, post)
+    }
+
     #[test]
     fn pair_check_is_byte_identical_in_any_arrival_order_and_thread_count() {
         let db = db();
-        let pair = duplicated_pair(16);
+        let (off_pre, off_post) = off_db_snapshots();
+        let off_db = SnapshotPair::align(&off_pre, &off_post);
+        let cases = [
+            (duplicated_pair(16), Granularity::Device),
+            (off_db.clone(), Granularity::Group),
+            (off_db.clone(), Granularity::Device),
+            (off_db, Granularity::Interface),
+        ];
         let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let baseline = Checker::new(&compiled, &db).check(&pair);
-        assert!(!baseline.is_compliant(), "the testbed must violate");
-        assert_eq!(
-            baseline.stats.graph_decodes, 0,
-            "a decoded pair decodes nothing"
-        );
-        for threads in [1usize, 2, 4] {
-            let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
-                threads,
-                ..CheckOptions::default()
-            });
-            for input in [pair.clone(), reversed(&pair)] {
-                let report = checker.check(&input);
-                assert_eq!(report.violations, baseline.violations);
-                assert_eq!(report.stats.classes, baseline.stats.classes);
-                assert_eq!(report.stats.dedup_hits, baseline.stats.dedup_hits);
-                assert_eq!(report.stats.graph_decodes, 0);
-                assert_eq!(
-                    verdict_bytes(&report),
-                    verdict_bytes(&baseline),
-                    "threads {threads}"
-                );
+        for (pair, granularity) in cases {
+            let compiled = crate::compile::compile_program(&program, &db, granularity).unwrap();
+            let baseline = Checker::new(&compiled, &db).check(&pair);
+            assert!(!baseline.is_compliant(), "the testbed must violate");
+            assert_eq!(
+                baseline.stats.graph_decodes, 0,
+                "a decoded pair decodes nothing"
+            );
+            // nochange flags exactly the flows the path-diff oracle does
+            let flagged: BTreeSet<FlowSpec> =
+                baseline.violations.iter().map(|v| v.flow.clone()).collect();
+            assert_eq!(
+                flagged,
+                rela_baseline::oracle::oracle_verdict(&pair, &db, granularity),
+                "{granularity:?}"
+            );
+            for threads in [1usize, 2, 4] {
+                let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+                    threads,
+                    ..CheckOptions::default()
+                });
+                for input in [pair.clone(), reversed(&pair)] {
+                    let report = checker.check(&input);
+                    assert_eq!(report.violations, baseline.violations);
+                    assert_eq!(report.stats.classes, baseline.stats.classes);
+                    assert_eq!(report.stats.dedup_hits, baseline.stats.dedup_hits);
+                    assert_eq!(report.stats.graph_decodes, 0);
+                    assert_eq!(
+                        verdict_bytes(&report),
+                        verdict_bytes(&baseline),
+                        "{granularity:?}, threads {threads}"
+                    );
+                }
+            }
+            // a second job on one session runs against a warm memo and
+            // must still match a fresh session byte for byte
+            let open = || {
+                crate::session::CheckSession::open(
+                    NOCHANGE,
+                    db.clone(),
+                    crate::session::SessionConfig {
+                        granularity,
+                        ..Default::default()
+                    },
+                )
+                .unwrap()
+            };
+            let run = |session: &crate::session::CheckSession, pair: &SnapshotPair| {
+                session.run(crate::session::JobSpec::pair(pair)).unwrap()
+            };
+            let warm_session = open();
+            run(&warm_session, &pair);
+            let warm = run(&warm_session, &reversed(&pair));
+            let fresh = run(&open(), &reversed(&pair));
+            assert_eq!(
+                verdict_bytes(&warm),
+                verdict_bytes(&fresh),
+                "{granularity:?}"
+            );
+            assert_eq!(verdict_bytes(&warm), verdict_bytes(&baseline));
+            if granularity != Granularity::Interface {
+                // db() lists no interfaces, so only device and group
+                // sides can resolve within the program alphabet
+                assert!(warm.stats.fst_memo_hits > 0, "{granularity:?}");
             }
         }
     }
@@ -2818,27 +2790,37 @@ mod tests {
 
     #[test]
     fn check_pipelined_is_byte_identical_to_the_pair_across_threads() {
+        // the off-db cases let eager decides meet unknown locations in
+        // arrival order; the report must not notice
         let db = db();
-        let (pre, post) = duplicated_snapshots(16);
-        let pair = SnapshotPair::align(&pre, &post);
+        let (off_pre, off_post) = off_db_snapshots();
+        let cases = [
+            (duplicated_snapshots(16), Granularity::Device),
+            ((off_pre.clone(), off_post.clone()), Granularity::Group),
+            ((off_pre.clone(), off_post.clone()), Granularity::Device),
+            ((off_pre, off_post), Granularity::Interface),
+        ];
         let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let in_memory = Checker::new(&compiled, &db).check(&pair);
-        assert!(!in_memory.is_compliant(), "the testbed must violate");
+        for ((pre, post), granularity) in cases {
+            let pair = SnapshotPair::align(&pre, &post);
+            let compiled = crate::compile::compile_program(&program, &db, granularity).unwrap();
+            let in_memory = Checker::new(&compiled, &db).check(&pair);
+            assert!(!in_memory.is_compliant(), "the testbed must violate");
 
-        for threads in [1usize, 2, 4] {
-            let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
-                threads,
-                ..CheckOptions::default()
-            });
-            let report = pipelined(&checker, &pre, &post);
-            assert_eq!(report.stats.classes, in_memory.stats.classes);
-            assert_eq!(report.stats.fecs, in_memory.stats.fecs);
-            assert_eq!(
-                verdict_bytes(&report),
-                verdict_bytes(&in_memory),
-                "threads {threads}"
-            );
+            for threads in [1usize, 2, 4] {
+                let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+                    threads,
+                    ..CheckOptions::default()
+                });
+                let report = pipelined(&checker, &pre, &post);
+                assert_eq!(report.stats.classes, in_memory.stats.classes);
+                assert_eq!(report.stats.fecs, in_memory.stats.fecs);
+                assert_eq!(
+                    verdict_bytes(&report),
+                    verdict_bytes(&in_memory),
+                    "{granularity:?}, threads {threads}"
+                );
+            }
         }
     }
 
@@ -2916,6 +2898,42 @@ mod tests {
         let warm = pipelined(&checker, &pre, &post);
         assert_eq!(warm.stats.warm_hits, warm.stats.classes);
         assert_eq!(verdict_bytes(&warm), verdict_bytes(&cold));
+    }
+
+    #[test]
+    fn a_store_warmed_by_another_pair_replays_shared_classes_identically() {
+        // pair B shares pair A's violating class byte for byte and adds
+        // classes of its own (one through off-db devices); a store warmed
+        // by A must leave B's report exactly as a store-less check of B
+        let db = db();
+        let (pre_a, post_a) = duplicated_snapshots(6);
+        let (mut pre_b, mut post_b) = duplicated_snapshots(4);
+        for (i, (before, after)) in [
+            (["x1", "B1-r1", "y1"], ["x1", "D1-r1", "y1"]),
+            (["x1", "Z9-r1", "y1"], ["x1", "A1-r1", "M4-r1"]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let f = flow(&format!("10.5.{i}.0/24"), "x1");
+            pre_b.insert(f.clone(), linear_graph(&before));
+            post_b.insert(f, linear_graph(&after));
+        }
+        let program = crate::parser::parse_program(NOCHANGE).unwrap();
+        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
+        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
+        let stored = Checker::new(&compiled, &db).with_cache(&store);
+        let a = pipelined(&stored, &pre_a, &post_a);
+        assert!(!a.is_compliant(), "A must carry a violating class");
+        let warm_b = pipelined(&stored, &pre_b, &post_b);
+        assert_eq!(
+            warm_b.stats.warm_hits, a.stats.classes,
+            "A's classes replay"
+        );
+        assert!(warm_b.stats.classes > a.stats.classes, "B adds classes");
+        let cold_b = pipelined(&Checker::new(&compiled, &db), &pre_b, &post_b);
+        assert_eq!(cold_b.stats.warm_hits, 0);
+        assert_eq!(verdict_bytes(&warm_b), verdict_bytes(&cold_b));
     }
 
     /// The error [`rela_net::SnapshotReader`] reports for `json`: the

@@ -42,7 +42,7 @@ pub use check::{cache_epoch, CheckOptions, Checker, ENGINE_VERSION};
 pub use compile::{
     compile_program, CompileError, CompiledCheck, CompiledProgram, GuardedPart, RoutedCheck,
 };
-pub use counterexample::{EquationDiff, PathRenderer, WitnessLimits};
+pub use counterexample::{EquationDiff, PathRenderer, RunAlphabet, WitnessLimits};
 pub use lower::{decide_spec, lower_pathset, lower_pathset_dfa, lower_rel, PairFsas};
 pub use parser::{parse_program, ParseError};
 pub use report::{

@@ -670,7 +670,8 @@ impl<'p> ClassRegistry<'p> {
     /// [`ClassRef`]s resolve to positions in the flat list). Shard order
     /// is fixed; within a shard, admission order — the flat order is
     /// scheduling-dependent, which is fine because the report engine is
-    /// order-independent (sorted symbol interning, flow-sorted results).
+    /// order-independent (name-defined witness bytes, flow-sorted
+    /// results).
     pub(crate) fn into_classes(self) -> (Vec<ClassAcc<'p>>, Vec<usize>) {
         let mut offsets = Vec::with_capacity(self.shards.len());
         let mut classes = Vec::new();
@@ -692,7 +693,7 @@ pub(crate) struct EagerTask<'p> {
 
 /// The queue feeding idle decode workers with founded classes to decide
 /// while records still arrive. Leftovers (classes founded near the end
-/// of the stream) are decided by the finisher with the final table.
+/// of the stream) are decided by the finisher.
 pub(crate) struct DecideQueue<'p> {
     tasks: Mutex<VecDeque<EagerTask<'p>>>,
 }
@@ -716,17 +717,14 @@ impl<'p> DecideQueue<'p> {
     }
 }
 
-/// The outcome of an eager store consult or decide for one class.
+/// The outcome of an eager store consult or decide for one class. Both
+/// are final: witness bytes are defined by location names, so a verdict
+/// decided mid-ingest renders exactly as a finisher decide would.
 pub(crate) enum EagerOutcome {
-    /// Replayed from the persistent store (final — warm verdicts are
-    /// rendering-complete and byte-identical by the store contract).
+    /// Replayed from the persistent store.
     Warm(FecResult),
-    /// Decided compliant mid-ingest (final — compliant results carry no
-    /// rendered paths, so they are independent of the symbol table).
-    Compliant(FecResult, Duration, crate::report::PhaseTimings),
-    /// Decided violating mid-ingest: the verdict stands but witnesses
-    /// depend on the final symbol table, so the finisher re-decides it.
-    ViolatingProvisional,
+    /// Decided mid-ingest, with its wall time and phase timings.
+    Decided(FecResult, Duration, crate::report::PhaseTimings),
 }
 
 #[cfg(test)]

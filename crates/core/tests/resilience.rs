@@ -163,3 +163,68 @@ fn faulted_input_streams_replay_byte_identically_across_seeds() {
         assert_eq!(verdict_bytes(&report), baseline, "seed {seed}");
     }
 }
+
+#[test]
+fn every_class_is_decided_exactly_once() {
+    // 256 flows over eight post behaviors (seven of them violating),
+    // trickled in small, slow reads: the workers idle between frame
+    // batches and decide classes while records still arrive. A
+    // verdict decided mid-ingest is final, so counting the `decide`
+    // point's firings, a run decides each class exactly once — the panic
+    // scheduled past the class count never fires, the one at the class
+    // count does.
+    let lock = plan_lock();
+    let mut pre = Snapshot::new();
+    let mut post = Snapshot::new();
+    for ix in 0..256usize {
+        let flow = FlowSpec::new(
+            format!("10.{}.{}.0/24", ix / 256, ix % 256)
+                .parse()
+                .unwrap(),
+            "A1",
+        );
+        pre.insert(flow.clone(), linear_graph(&["A1", "B1"]));
+        // detours through hops the location db does not know
+        let hop = format!("H{}", ix % 8);
+        let after = match ix % 8 {
+            0 => linear_graph(&["A1", "B1"]),
+            _ => linear_graph(&["A1", &hop, "B1"]),
+        };
+        post.insert(flow, after);
+    }
+    let docs = (pre.to_json().unwrap(), post.to_json().unwrap());
+    let run_slow = |s: &CheckSession| {
+        s.run(JobSpec::streams(
+            LabeledSource::new(Trickle(docs.0.as_bytes()), "pre"),
+            LabeledSource::new(Trickle(docs.1.as_bytes()), "post"),
+        ))
+    };
+    for threads in [1usize, 2] {
+        let clean = run_slow(&session(threads)).expect("unfaulted run succeeds");
+        let classes = clean.stats.classes;
+        assert_eq!(classes, 8, "threads {threads}");
+        assert!(!clean.is_compliant());
+        with_plan(&lock, &format!("panic=decide@{}", classes + 1), || {
+            let report = run_slow(&session(threads))
+                .unwrap_or_else(|e| panic!("threads {threads}: a class was decided twice: {e}"));
+            assert_eq!(verdict_bytes(&report), verdict_bytes(&clean));
+        });
+        with_plan(&lock, &format!("panic=decide@{classes}"), || {
+            run_slow(&session(threads)).expect_err("every class is decided");
+        });
+    }
+}
+
+/// A reader that hands out at most 256 bytes per call, after a short
+/// sleep, so a snapshot arrives over many frame batches.
+struct Trickle<'a>(&'a [u8]);
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        let n = buf.len().min(self.0.len()).min(256);
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}

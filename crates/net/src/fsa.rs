@@ -21,7 +21,7 @@
 use crate::db::LocationDb;
 use crate::graph::ForwardingGraph;
 use crate::location::{Device, Granularity, DROP_LOCATION};
-use rela_automata::{Nfa, SymSet, SymbolTable};
+use rela_automata::{Nfa, SymSet, Symbol, SymbolTable};
 use std::collections::BTreeSet;
 
 /// The group of `device`, falling back to the device's own name when the
@@ -58,36 +58,20 @@ pub fn graph_to_fsa(
     granularity: Granularity,
     table: &mut SymbolTable,
 ) -> Nfa {
-    build_fsa(graph, db, granularity, &mut |name| table.intern(name))
+    graph_to_fsa_prepared(graph, db, granularity, |name| table.intern(name))
 }
 
-/// Like [`graph_to_fsa`], but against a *read-only* symbol table: every
-/// location the graph mentions must already be interned. This is the
-/// hot-path variant — the checker pre-interns all locations once, then
-/// shares one table immutably across worker threads instead of cloning
-/// it per worker.
-///
-/// # Panics
-///
-/// Panics if the graph mentions a location absent from `table`.
+/// Like [`graph_to_fsa`], but the caller resolves location names:
+/// `sym` maps every location the graph mentions (at `granularity`, plus
+/// `drop` when the graph drops traffic) to its symbol. This is the
+/// hot-path variant — the checker resolves against one run alphabet
+/// shared immutably across worker threads, and decides itself what a
+/// location outside its table becomes (nothing here panics on one).
 pub fn graph_to_fsa_prepared(
     graph: &ForwardingGraph,
     db: &LocationDb,
     granularity: Granularity,
-    table: &SymbolTable,
-) -> Nfa {
-    build_fsa(graph, db, granularity, &mut |name| {
-        table
-            .lookup(name)
-            .unwrap_or_else(|| panic!("location `{name}` was not pre-interned"))
-    })
-}
-
-fn build_fsa(
-    graph: &ForwardingGraph,
-    db: &LocationDb,
-    granularity: Granularity,
-    sym: &mut dyn FnMut(&str) -> rela_automata::Symbol,
+    mut sym: impl FnMut(&str) -> Symbol,
 ) -> Nfa {
     let mut nfa = Nfa::new();
     let vstate: Vec<_> = graph.vertices.iter().map(|_| nfa.add_state()).collect();
@@ -163,7 +147,6 @@ fn build_fsa(
 mod tests {
     use super::*;
     use crate::graph::linear_graph;
-    use rela_automata::Symbol;
 
     fn sample_db() -> LocationDb {
         let mut db = LocationDb::new();
@@ -211,7 +194,9 @@ mod tests {
         for (granularity, probe) in probes {
             let mut table = SymbolTable::new();
             let interned = graph_to_fsa(&g, &db, granularity, &mut table);
-            let prepared = graph_to_fsa_prepared(&g, &db, granularity, &table);
+            let prepared = graph_to_fsa_prepared(&g, &db, granularity, |name| {
+                table.lookup(name).expect("interned above")
+            });
             let word = syms(&table, &probe);
             assert!(interned.accepts(&word), "{granularity:?}");
             assert!(prepared.accepts(&word), "{granularity:?}");
@@ -220,12 +205,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not pre-interned")]
-    fn prepared_variant_rejects_unknown_locations() {
+    fn prepared_variant_hands_unknown_locations_to_the_resolver() {
         let db = sample_db();
-        let g = linear_graph(&["A1-r01", "B1-r01"]);
+        let g = linear_graph(&["A1-r01", "x-edge"]);
         let table = SymbolTable::new();
-        let _ = graph_to_fsa_prepared(&g, &db, Granularity::Device, &table);
+        let mut asked = Vec::new();
+        let fsa = graph_to_fsa_prepared(&g, &db, Granularity::Device, |name| {
+            asked.push(name.to_owned());
+            table
+                .lookup(name)
+                .unwrap_or(Symbol::from_index(100 + asked.len()))
+        });
+        assert_eq!(asked, ["A1-r01", "x-edge"]);
+        assert!(fsa.accepts(&[Symbol::from_index(101), Symbol::from_index(102)]));
     }
 
     #[test]
